@@ -11,13 +11,13 @@ defining identities can be checked on bases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import symexpr
 from .symexpr import Const, Expr, ZERO, ONE, simplify
 from .dvspace import DvsModel, check_map_compatibility, dual_metric, standard_model
-from .linalg import frac_matrix, identity, inverse, mat_mul, mat_vec, transpose
+from .linalg import frac_matrix, identity, inverse, mat_vec, transpose
 from .wedge import Gluing, WedgeComplex, _as_point
 
 
@@ -41,19 +41,11 @@ def eval_vector(v, x):
     return [symexpr.evaluate(e, x) for e in v]
 
 
-def emat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    out = [[ZERO for _ in range(m)] for _ in range(n)]
-    for i in range(n):
-        for t in range(k):
-            for j in range(m):
-                out[i][j] = out[i][j] + a[i][t] * b[t][j]
-    return [[simplify(v) for v in row] for row in out]
-
-
-def emat_block_sum(a, b):
+def emat_block_sum(a, b, zero=ZERO):
+    """Block-diagonal [[a, 0], [0, b]]; ``zero`` fills the off-diagonal
+    blocks (Fraction(0) for rational glue maps)."""
     n, m = len(a), len(b)
-    out = [[ZERO] * (n + m) for _ in range(n + m)]
+    out = [[zero] * (n + m) for _ in range(n + m)]
     for i in range(n):
         for j in range(n):
             out[i][j] = a[i][j]
@@ -65,7 +57,7 @@ def emat_block_sum(a, b):
 
 def emat_kron(a, b):
     n, m = len(a), len(b)
-    return [[a[i][j] * b[k][l] for j in range(n) for l in range(m)]
+    return [[a[i][j] * b[k][l] for j in range(len(a[0])) for l in range(len(b[0]))]
             for i in range(n) for k in range(m)]
 
 
@@ -280,24 +272,6 @@ def _tensor_model(m1, m2):
     return DvsModel(n1 * n2, tuple(tuple(g) for g in gens))
 
 
-def _kron(a, b):
-    n, m = len(a), len(b)
-    return [[a[i][j] * b[k][l] for j in range(len(a[0])) for l in range(len(b[0]))]
-            for i in range(n) for k in range(m)]
-
-
-def _blocksum(a, b):
-    n, m = len(a), len(b)
-    out = [[Fraction(0)] * (n + m) for _ in range(n + m)]
-    for i in range(n):
-        for j in range(n):
-            out[i][j] = a[i][j]
-    for i in range(m):
-        for j in range(m):
-            out[n + i][n + j] = b[i][j]
-    return out
-
-
 def direct_sum(v, w):
     if v.base is not w.base and v.base != w.base:
         raise ValueError("bundles live over different bases")
@@ -308,7 +282,8 @@ def direct_sum(v, w):
         maps = {}
         for p in v.base.glue_classes[i]:
             if p != rep:
-                maps[p] = _blocksum(v.glue_map(i, p), w.glue_map(i, p))
+                maps[p] = emat_block_sum(v.glue_map(i, p), w.glue_map(i, p),
+                                        Fraction(0))
         glue.append((rep, maps))
     return PseudoBundle(v.base, fibres, metrics, v.gluing, tuple(glue))
 
@@ -323,7 +298,7 @@ def tensor_product(v, w):
         maps = {}
         for p in v.base.glue_classes[i]:
             if p != rep:
-                maps[p] = _kron(v.glue_map(i, p), w.glue_map(i, p))
+                maps[p] = emat_kron(v.glue_map(i, p), w.glue_map(i, p))
         glue.append((rep, maps))
     return PseudoBundle(v.base, fibres, metrics, v.gluing, tuple(glue))
 
@@ -391,11 +366,8 @@ def phi_sum(glued_of_sums, sum_of_glued, point):
     return identity(glued_of_sums.fibres[cid].dim)
 
 
-def phi_tensor(glued_of_tensors, tensor_of_glued, point):
-    p = _as_point(point)
-    i = glued_of_tensors.base.class_of(p)
-    cid = glued_of_tensors.rep_point(i)[0] if i is not None else p[0]
-    return identity(glued_of_tensors.fibres[cid].dim)
+# the same block-coordinate argument makes the tensor map the identity too
+phi_tensor = phi_sum
 
 
 def phi_dual(glued, point):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import congruent_diagonal, frac_matrix, inverse, mat_vec, transpose
+from .linalg import congruent_diagonal, frac_matrix, inverse, mat_vec
 from .dvspace import is_pseudo_metric
 
 

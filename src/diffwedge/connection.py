@@ -17,13 +17,11 @@ the dual metric 1/h is parallel for.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import symexpr
-from .symexpr import Expr, ZERO, simplify
-from .bundle import PseudoBundle, Section, as_expr, eval_matrix, eval_vector, \
-    expr_matrix, make_section
-from .forms import OneFormBundle, g_lambda
+from .symexpr import ZERO, max_residual, simplify
+from .bundle import PseudoBundle, as_expr, emat_block_sum, eval_vector
+from .forms import OneFormBundle
 from .linalg import mat_vec
 from .wedge import _as_point
 
@@ -109,9 +107,8 @@ def levi_civita(lam):
 
 def dual_connection(conn):
     """Christoffel sign flip: the connection the dual metric is parallel for."""
-    gamma = {cid: [[simplify(ZERO - g[0][0])] ] if len(g) == 1 else
-             [[simplify(ZERO - g[j][i]) for j in range(len(g))]
-              for i in range(len(g))]
+    gamma = {cid: [[simplify(ZERO - g[j][i]) for j in range(len(g))]
+                   for i in range(len(g))]
              for cid, g in conn.gamma.items()}
     return Connection(conn.bundle, gamma, conn.mode)
 
@@ -134,11 +131,9 @@ def is_symmetric_connection(conn_fields, fields, points, tol=1e-10):
     """All sampled torsion values below tolerance, for all field pairs."""
     for t1 in fields:
         for t2 in fields:
-            tor = torsion(conn_fields, t1, t2)
-            for cid, e in tor.items():
-                for x in points.get(cid, []):
-                    if abs(symexpr.evaluate(e, x)) > tol:
-                        return False
+            for cid, e in torsion(conn_fields, t1, t2).items():
+                if max_residual([(e, ZERO)], points.get(cid, []))[0] > tol:
+                    return False
     return True
 
 
@@ -155,18 +150,8 @@ def glue_connections(c1, c2, bundle, mode="generic"):
 
 
 def sum_connection(c1, c2, bundle=None):
-    gamma = {}
-    for cid in c1.gamma:
-        g1, g2 = c1.gamma[cid], c2.gamma[cid]
-        n, m = len(g1), len(g2)
-        out = [[ZERO] * (n + m) for _ in range(n + m)]
-        for i in range(n):
-            for j in range(n):
-                out[i][j] = g1[i][j]
-        for i in range(m):
-            for j in range(m):
-                out[n + i][n + j] = g2[i][j]
-        gamma[cid] = out
+    gamma = {cid: emat_block_sum(c1.gamma[cid], c2.gamma[cid])
+             for cid in c1.gamma}
     return Connection(bundle if bundle is not None else c1.bundle, gamma,
                       c1.mode)
 
@@ -221,11 +206,9 @@ def check_metric_compatibility(conn, pairs, points, tol=1e-10):
                 for j in range(len(tv)):
                     rhs = rhs + ns[cid][i] * g[i][j] * tv[j]
                     rhs = rhs + sv[i] * g[i][j] * nt[cid][j]
-            for x in points.get(cid, []):
-                r = abs(symexpr.evaluate(lhs, x) - symexpr.evaluate(rhs, x))
-                if r > worst:
-                    worst = float(r)
-                    witness = f"chart {cid}, x = {x}"
+            r, x = max_residual([(lhs, rhs)], points.get(cid, []))
+            if r > worst:
+                worst, witness = r, f"chart {cid}, x = {x}"
     return worst <= tol, worst, witness
 
 
@@ -239,12 +222,10 @@ def check_leibniz(conn, trials, points, tol=1e-10):
         ns = apply_connection(conn, s)
         for cid in s:
             df = _d(as_expr(f[cid]))
-            for i in range(len(s[cid])):
-                rhs = df * as_expr(s[cid][i]) + as_expr(f[cid]) * ns[cid][i]
-                for x in points.get(cid, []):
-                    r = abs(symexpr.evaluate(lhs[cid][i], x)
-                            - symexpr.evaluate(rhs, x))
-                    worst = max(worst, float(r))
+            sides = [(lhs[cid][i],
+                      df * as_expr(s[cid][i]) + as_expr(f[cid]) * ns[cid][i])
+                     for i in range(len(s[cid]))]
+            worst = max(worst, max_residual(sides, points.get(cid, []))[0])
     return worst <= tol, worst
 
 
@@ -275,8 +256,6 @@ def koszul_check(lam, triples, points, tol=1e-9):
             rhs = (act(b1, pair(b2, b3)) + act(b2, pair(b1, b3))
                    - act(b3, pair(b1, b2))
                    + pair(br12, b3) - pair(br23, b1) + pair(br31, b2))
-            for x in points.get(cid, []):
-                r = abs(symexpr.evaluate(simplify(lhs), x)
-                        - symexpr.evaluate(simplify(rhs), x))
-                worst = max(worst, float(r))
+            sides = [(simplify(lhs), simplify(rhs))]
+            worst = max(worst, max_residual(sides, points.get(cid, []))[0])
     return worst <= tol, worst

@@ -13,15 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import symexpr
-from .symexpr import ZERO, ONE, simplify
+from .symexpr import ZERO, ONE, max_residual, simplify
 from .bundle import PseudoBundle, as_expr, eval_vector, glue_bundles, \
-    make_section, trivial_bundle
-from .connection import Connection, apply_connection, connection_value_at, \
+    trivial_bundle
+from .connection import Connection, _d, connection_value_at, \
     glue_connections, levi_civita
+from .dvspace import apply_form, standard_model
 from .forms import OneFormBundle, g_lambda
 from .linalg import mat_mul, mat_vec
-from .wedge import WedgeComplex, _as_point
+from .wedge import _as_point
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,6 @@ def _leg_module(lam):
     fibres = {}
     metrics = {}
     for c in lam.base.charts:
-        from .dvspace import standard_model
         fibres[c.id] = standard_model(2)
         metrics[c.id] = [[ONE, ZERO], [ZERO, lam.h[c.id]]]
     return trivial_bundle(lam.base, fibres, metrics)
@@ -156,20 +155,22 @@ def check_unitarity(module, points_per_chart, glue=True, tol=1e-10):
     unit form (components related by the glue scale, normalized in the
     weighted glue metric).
     """
-    worst = 0.0
     basis = [[1, 0], [0, 1], [1, 1]]
+
+    def gram(worst, act, h):
+        # fold in |g_E(c e1, c e2) - g_E(e1, e2)| over the basis pairs
+        g_e = [[1, 0], [0, h]]
+        return max(worst, *(abs(float(apply_form(g_e, act(e1), act(e2))
+                                      - apply_form(g_e, e1, e2)))
+                            for e1 in basis for e2 in basis))
+
+    worst = 0.0
     for cid, pts in points_per_chart.items():
         for x in pts:
             h = module.lam.h_at(cid, x)
             alpha = 1 / float(h) ** 0.5
             c = module.action_matrix(cid, x, alpha)
-            gE = [[1, 0], [0, h]]
-            for e1 in basis:
-                for e2 in basis:
-                    u, v = mat_vec(c, e1), mat_vec(c, e2)
-                    lhs = sum(u[i] * gE[i][j] * v[j] for i in range(2) for j in range(2))
-                    rhs = sum(e1[i] * gE[i][j] * e2[j] for i in range(2) for j in range(2))
-                    worst = max(worst, abs(float(lhs - rhs)))
+            worst = gram(worst, lambda e: mat_vec(c, e), h)
     if glue:
         for i, cls in enumerate(module.bundle.base.glue_classes):
             rep = module.bundle.rep_point(i)
@@ -183,17 +184,8 @@ def check_unitarity(module, points_per_chart, glue=True, tol=1e-10):
             norm = sum(g[k][k] * comp[br] ** 2
                        for k, br in enumerate(branches)) ** 0.5
             value = {br: comp[br] / norm for br in branches}
-            h2 = module.lam.h_at(rep[0], rep[1])
-            gE = [[1, 0], [0, h2]]
-            for e1 in basis:
-                for e2 in basis:
-                    u = induced_action(module, i, value, e1)
-                    v = induced_action(module, i, value, e2)
-                    lhs = sum(u[a_] * gE[a_][b_] * v[b_]
-                              for a_ in range(2) for b_ in range(2))
-                    rhs = sum(e1[a_] * gE[a_][b_] * e2[b_]
-                              for a_ in range(2) for b_ in range(2))
-                    worst = max(worst, abs(float(lhs - rhs)))
+            worst = gram(worst, lambda e: induced_action(module, i, value, e),
+                         module.lam.h_at(rep[0], rep[1]))
     return worst <= tol, worst
 
 
@@ -234,23 +226,16 @@ def check_clifford_connection(module, conn_e, lam_conn, batteries, points,
             # c(alpha dx) r = (-h alpha w, alpha u)
             cu = simplify(ZERO - h * al * w)
             cw = simplify(al * u)
-            lhs = [b * (_dx(cu) + gam_e[0][0] * cu + gam_e[0][1] * cw),
-                   b * (_dx(cw) + gam_e[1][0] * cu + gam_e[1][1] * cw)]
-            nal = b * (_dx(al) + gam_l * al)
-            nu = b * (_dx(u) + gam_e[0][0] * u + gam_e[0][1] * w)
-            nw = b * (_dx(w) + gam_e[1][0] * u + gam_e[1][1] * w)
+            lhs = [b * (_d(cu) + gam_e[0][0] * cu + gam_e[0][1] * cw),
+                   b * (_d(cw) + gam_e[1][0] * cu + gam_e[1][1] * cw)]
+            nal = b * (_d(al) + gam_l * al)
+            nu = b * (_d(u) + gam_e[0][0] * u + gam_e[0][1] * w)
+            nw = b * (_d(w) + gam_e[1][0] * u + gam_e[1][1] * w)
             rhs = [ZERO - h * nal * w + (ZERO - h * al * nw),
                    nal * u + al * nu]
-            for x in points.get(cid, []):
-                for l, rr in zip(lhs, rhs):
-                    d = abs(symexpr.evaluate(simplify(l), x)
-                            - symexpr.evaluate(simplify(rr), x))
-                    worst = max(worst, float(d))
+            sides = [(simplify(l), simplify(rr)) for l, rr in zip(lhs, rhs)]
+            worst = max(worst, max_residual(sides, points.get(cid, []))[0])
     return worst <= tol, worst
-
-
-def _dx(e):
-    return simplify(symexpr.differentiate(e))
 
 
 @dataclass(frozen=True)
@@ -274,8 +259,8 @@ def apply_dirac_chart(d, comps, cid):
     gam = d.connection.gamma[cid]
     u, w = as_expr(comps[cid][0]), as_expr(comps[cid][1])
     h = d.module.lam.h[cid]
-    du = _dx(u) + gam[0][0] * u + gam[0][1] * w
-    dw = _dx(w) + gam[1][0] * u + gam[1][1] * w
+    du = _d(u) + gam[0][0] * u + gam[0][1] * w
+    dw = _d(w) + gam[1][0] * u + gam[1][1] * w
     return [simplify(ZERO - h * dw), simplify(du)]
 
 

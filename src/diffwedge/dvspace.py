@@ -14,7 +14,7 @@ All verdicts here are exact (rational arithmetic).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import (
@@ -29,7 +29,6 @@ from .linalg import (
     nullspace,
     rank,
     row_space_basis,
-    rref,
     solve,
     span_equal,
     transpose,
@@ -181,14 +180,9 @@ def dual_metric(model, a):
     d = len(v0)
     # columns: coordinates of phi(v0_i) in the dual basis
     p = transpose([pairing_map(model, a, v) for v in v0])
-    g = [[_form(a, v0[i], v0[j]) for j in range(d)] for i in range(d)]
+    g = [[apply_form(a, v0[i], v0[j]) for j in range(d)] for i in range(d)]
     p_inv = inverse(p)
     return mat_mul(transpose(p_inv), mat_mul(g, p_inv))
-
-
-def _form(a, u, v):
-    return sum(Fraction(u[i]) * a[i][j] * Fraction(v[j])
-               for i in range(len(u)) for j in range(len(v)))
 
 
 def apply_form(a, u, v):

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import symexpr
-from .symexpr import Expr, simplify
+from .symexpr import simplify
 from .bundle import as_expr
-from .wedge import Gluing, WedgeComplex, _as_point, branches_at
+from .wedge import Gluing, WedgeComplex, branches_at
 
 
 @dataclass(frozen=True)
@@ -69,30 +69,28 @@ def one_form_value(bundle, coeffs, p):
             for br in bundle.fibre_branches(p)}
 
 
-def _leg_branches(bundle, p, leg):
+def _project(bundle, p, value, leg):
     if bundle.gluing is None:
         raise ValueError("bundle base was not built by gluing")
-    return [br for br in bundle.fibre_branches(p)
-            if bundle.gluing.leg_of_chart(br[0]) == leg]
+    branches = [br for br in bundle.fibre_branches(p)
+                if bundle.gluing.leg_of_chart(br[0]) == leg]
+    if not branches:
+        raise ValueError(f"{p} is outside the {('first', 'second')[leg - 1]} leg")
+    return {br: value[br] for br in branches}
 
 
 def rho1(bundle, p, value):
     """Projection of a fibre value to the first leg's branches.
 
     Defined on images of the first leg (including glue classes); the
-    identity on regular first-leg points.
+    identity on regular first-leg points.  ``rho2`` is the same for the
+    second leg.
     """
-    branches = _leg_branches(bundle, p, 1)
-    if not branches:
-        raise ValueError(f"{p} is outside the first leg")
-    return {br: value[br] for br in branches}
+    return _project(bundle, p, value, 1)
 
 
 def rho2(bundle, p, value):
-    branches = _leg_branches(bundle, p, 2)
-    if not branches:
-        raise ValueError(f"{p} is outside the second leg")
-    return {br: value[br] for br in branches}
+    return _project(bundle, p, value, 2)
 
 
 def differential(base, funcs):

@@ -41,14 +41,6 @@ def transpose(a):
     return [list(col) for col in zip(*a)]
 
 
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(c, a):
-    return [[c * x for x in row] for row in a]
-
-
 def rref(m):
     """Reduced row echelon form; returns (rref matrix, pivot columns)."""
     m = [row[:] for row in m]

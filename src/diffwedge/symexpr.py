@@ -322,6 +322,22 @@ def evaluate(e, x):
     raise TypeError(f"not an expression node: {e!r}")
 
 
+def max_residual(pairs, points):
+    """Worst sampled residual of the identities ``lhs = rhs`` in ``pairs``.
+
+    The residual at x is ``float(abs(lhs(x) - rhs(x)))``.  Returns
+    (worst, x) with x the first point whose residual exceeds every
+    earlier one; x is None while every residual is 0.
+    """
+    worst, at = 0.0, None
+    for lhs, rhs in pairs:
+        for x in points:
+            r = float(abs(evaluate(lhs, x) - evaluate(rhs, x)))
+            if r > worst:
+                worst, at = r, x
+    return worst, at
+
+
 def differentiate(e):
     """Symbolic d/dx; the result is again an expression tree."""
     if isinstance(e, Const):

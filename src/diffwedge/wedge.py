@@ -8,7 +8,7 @@ construction iterates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -189,9 +189,4 @@ def switch_map(gluing):
     """
     rev = glue_complexes(gluing.x2, gluing.x1,
                          [(b, a) for a, b in gluing.pairs])
-
-    def phi(p):
-        p = _as_point(p)
-        return p
-
-    return rev, phi
+    return rev, _as_point

@@ -119,3 +119,32 @@ def test_run_report_command():
     assert code == 0
     assert "clifford_table" in report["values"]
     assert render_report(report).endswith("\n")
+
+
+def test_report_includes_only_the_blocks_present(capsys):
+    # wedge_dirac.json has no fibre block; report must not require one
+    assert main(["report", cfg_path("wedge_dirac.json")]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["values"]["dirac"]
+    assert "dual_metric" not in report["values"]
+    assert "clifford_table" not in report["values"]
+    assert report["failed"] == []
+
+
+def test_block_commands_still_require_their_block(capsys):
+    assert main(["dual-metric", cfg_path("wedge_dirac.json")]) == 2
+    assert "needs a fibre block" in capsys.readouterr().err
+    assert main(["clifford-table", cfg_path("wedge_dirac.json")]) == 2
+    assert main(["dirac", cfg_path("two_planes.json")]) == 2
+
+
+def test_report_runs_the_fibre_suite_once(monkeypatch):
+    from diffwedge import cli
+    calls = []
+    suite = cli._fibre_suite
+    monkeypatch.setattr(cli, "_fibre_suite",
+                        lambda cfg: calls.append(cfg) or suite(cfg))
+    report, code = run("report", load_config(cfg_path("two_planes.json")))
+    assert code == 0 and len(calls) == 1
+    names = [v["name"] for v in report["verdicts"]]
+    assert names.count("dual-metric-defining-identity") == 1

@@ -1,0 +1,50 @@
+"""Byte-level pins of the CLI reports on the shipped configs.
+
+Each digest is the sha256 of what ``diffeo COMMAND CONFIG --seed N``
+prints.  The reports carry non-zero float residuals at 17 significant
+digits, so a change in the order of any summation or comparison inside
+a checker shows up here.  When a change is meant to alter a report,
+regenerate the table with the loop in ``_report`` and say why.
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+
+import pytest
+
+from diffwedge.cli import main
+
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+
+# (command, config, seed, exit code, sha256 of stdout)
+GOLDEN = [
+    ("check", "two_planes", 0, 0, "decd0a6729d1d3daaae1c97c7fcde4a4a053b3592af1373f2dc5926a9d8a0c7f"),
+    ("check", "two_planes", 1, 0, "a750b1e1e88e847dc2d2c25bdd9ece3dff04e9f2fa1159e644f3dace7f5ef3d5"),
+    ("check", "two_planes", 2, 0, "7b07712d8837373c6f8fec404c7ef2d47dd522e7a4e3873de16ebd24ed7e1f76"),
+    ("check", "wedge_dirac", 0, 0, "cd3811638b29fb3c4553b6ca78677c955eaf8c6a35deaa8595b3d39acd591a32"),
+    ("check", "wedge_dirac", 1, 0, "d8e9253dfdbfa2557ece733d71c9fcb3b989fc326cc22e861e034fea4a772d3e"),
+    ("check", "wedge_dirac", 2, 0, "ff81daa8459e5e1f7073dc9561a02a84b29f5ca1f74e2f7d88eb4cc2ac2b8a8a"),
+    ("check", "incompatible", 0, 1, "6b6f3f9603e0296b89be29402e5be5721787e66c946243c538bb1c46901398f9"),
+    ("check", "incompatible", 1, 1, "adc8ca9c45a158aaac3358e9c3ee11f2389d698efe26d9254f258baf895ccd7c"),
+    ("check", "incompatible", 2, 1, "eca0ac57235397464fbd31301210bee143570c347be7e224c00ee70f35e93ae2"),
+    ("dual-metric", "two_planes", 0, 0, "8ae3303cc089d5f4a66ef40e2b994afb89e8356ae51a693b94d0e0a1b0bdaa19"),
+    ("clifford-table", "two_planes", 0, 0, "86eb63af4231416bc104f2f954e8c069de1eb7137287543ef39104c071f012c2"),
+    ("dirac", "wedge_dirac", 0, 0, "bd83f30fd0d30458f68ca80d4adf50e62f0f9f6a94c414045181be7633e166cd"),
+    ("report", "two_planes", 0, 0, "981ec01f50acf2b1047aa4491d23cc99af9ae51bafc901de051ab1d8051a1ad2"),
+]
+
+
+def _report(command, config, seed):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([command, os.path.join(CONFIGS, f"{config}.json"),
+                     "--seed", str(seed)])
+    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("command,config,seed,code,digest", GOLDEN,
+                         ids=[f"{c}-{f}-{s}" for c, f, s, _, _ in GOLDEN])
+def test_report_bytes_are_pinned(command, config, seed, code, digest):
+    assert _report(command, config, seed) == (code, digest)

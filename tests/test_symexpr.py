@@ -7,8 +7,8 @@ from hypothesis import given, strategies as st
 
 from diffwedge import symexpr
 from diffwedge.symexpr import (Const, ExprSyntaxError, ZERO, ONE, X,
-                               differentiate, evaluate, parse_expr, simplify,
-                               to_str)
+                               differentiate, evaluate, max_residual,
+                               parse_expr, simplify, to_str)
 
 
 def test_parse_and_exact_eval():
@@ -121,3 +121,35 @@ def test_operator_overloading():
     assert evaluate(e, Fraction(3)) == 8
     assert evaluate(X ** 3, Fraction(2)) == 8
     assert evaluate(X / 2, Fraction(5)) == Fraction(5, 2)
+
+
+def test_max_residual_keeps_the_first_worst_point():
+    pts = [Fraction(-2), Fraction(1), Fraction(2)]
+    # residuals 4, 1, 4: the later tie does not move the witness
+    assert max_residual([(X * X, ZERO)], pts) == (4.0, Fraction(-2))
+    # nor does an equal residual in a later pair
+    pairs = [(X * X, ZERO), (Const(4), ZERO), (X, Const(-2))]
+    assert max_residual(pairs, pts) == (4.0, Fraction(-2))
+    # residuals 4, 2, 12: a strictly larger later one does move it
+    worst, at = max_residual([(ZERO, X * X * X + X * X)], pts)
+    assert (worst, at) == (12.0, Fraction(2)) and isinstance(worst, float)
+
+
+def test_max_residual_is_zero_and_none_on_an_identity():
+    e = parse_expr("(x+1)^2")
+    same = parse_expr("x^2+2*x+1")
+    assert max_residual([(e, same)], [Fraction(i, 3) for i in range(-5, 6)]) \
+        == (0.0, None)
+    assert max_residual([(e, ZERO)], []) == (0.0, None)
+    assert max_residual([], [Fraction(1)]) == (0.0, None)
+
+
+def test_max_residual_mixes_exact_and_float_sides():
+    third = Fraction(1, 3)
+    pairs = [(parse_expr("x/3"), ZERO),          # exact: 1/9 at x = 1/3
+             (parse_expr("exp(x)"), ONE)]        # float: e^(1/3) - 1
+    worst, at = max_residual(pairs, [Fraction(0), third])
+    assert worst == math.exp(third) - 1 and at == third
+    assert isinstance(worst, float)
+    worst, at = max_residual(pairs[:1], [Fraction(0), third])
+    assert worst == float(Fraction(1, 9)) and at == third
