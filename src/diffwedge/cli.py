@@ -62,7 +62,11 @@ def load_config(path):
         raise ConfigError(f"config is not valid JSON: {exc}")
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
-    cfg = {"name": raw.get("name", ""), "tol": float(raw.get("tol", 1e-10))}
+    try:
+        tol = float(raw.get("tol", 1e-10))
+    except (TypeError, ValueError):
+        raise ConfigError(f"/tol: not a number: {raw['tol']!r}")
+    cfg = {"name": raw.get("name", ""), "tol": tol}
     charts = []
     for i, c in enumerate(raw.get("charts", [])):
         if "id" not in c:
@@ -78,6 +82,10 @@ def load_config(path):
         pts = g.get("points")
         if not pts or len(pts) != 2:
             raise ConfigError(f"/gluings/{i}: needs [from, to] points")
+        for j, p in enumerate(pts):
+            if not isinstance(p, list) or len(p) != 2:
+                raise ConfigError(f"/gluings/{i}/points/{j}: "
+                                  "needs a [chart id, coordinate] pair")
         (c1, x1), (c2, x2) = pts
         if c1 not in ids or c2 not in ids:
             raise ConfigError(f"/gluings/{i}: unknown chart id")

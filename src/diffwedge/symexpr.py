@@ -18,7 +18,20 @@ class Expr:
 
     Nodes are immutable; operators build new trees.  Python numbers are
     coerced to constant nodes.
+
+    A node caches what is derived from it: its simplified form, its
+    derivative and, from its second evaluation on, a compiled tape.  The
+    caches hold only nodes built from the node's own subtrees, never the
+    node itself, so caching creates no reference cycle.
     """
+
+    __slots__ = ("children", "_simple", "_deriv", "_tape")
+
+    def __init__(self, *children):
+        self.children = children
+        # _simple: None, True (this node is simplified) or its simplified
+        # form; _tape: None, False (evaluated once) or the compiled tape
+        self._simple = self._deriv = self._tape = None
 
     def __add__(self, other):
         return Add(self, _coerce(other))
@@ -67,8 +80,6 @@ class Expr:
         return hash((type(self), getattr(self, "value", None),
                      getattr(self, "exponent", None), self.children))
 
-    children: tuple = ()
-
 
 def _coerce(v):
     if isinstance(v, Expr):
@@ -81,7 +92,10 @@ def _coerce(v):
 
 
 class Const(Expr):
+    __slots__ = ("value",)
+
     def __init__(self, value):
+        Expr.__init__(self)
         self.value = Fraction(value)
 
     def __repr__(self):
@@ -89,49 +103,46 @@ class Const(Expr):
 
 
 class Var(Expr):
+    __slots__ = ()
+
     def __repr__(self):
         return "Var()"
 
 
 class Neg(Expr):
-    def __init__(self, a):
-        self.children = (a,)
+    __slots__ = ()
 
 
 class Add(Expr):
-    def __init__(self, a, b):
-        self.children = (a, b)
+    __slots__ = ()
 
 
 class Mul(Expr):
-    def __init__(self, a, b):
-        self.children = (a, b)
+    __slots__ = ()
 
 
 class Div(Expr):
-    def __init__(self, a, b):
-        self.children = (a, b)
+    __slots__ = ()
 
 
 class Pow(Expr):
+    __slots__ = ("exponent",)
+
     def __init__(self, a, exponent):
-        self.children = (a,)
+        Expr.__init__(self, a)
         self.exponent = int(exponent)
 
 
 class Exp(Expr):
-    def __init__(self, a):
-        self.children = (a,)
+    __slots__ = ()
 
 
 class Sin(Expr):
-    def __init__(self, a):
-        self.children = (a,)
+    __slots__ = ()
 
 
 class Cos(Expr):
-    def __init__(self, a):
-        self.children = (a,)
+    __slots__ = ()
 
 
 X = Var()
@@ -183,13 +194,25 @@ def _tokenize(text):
     return tokens
 
 
+# Deepest expression parse_expr accepts, both as tree depth and as nesting
+# of parentheses and function calls.  Parsing spends six stack frames per
+# nested group and evaluate/simplify/differentiate/to_str one per tree
+# level; derivatives are a few times deeper than their input.  All of this
+# stays well under Python's default recursion limit of 1000.
+MAX_DEPTH = 100
+
+
 class _Parser:
-    """Recursive-descent parser; +,- < *,/ < unary - < ^."""
+    """Recursive-descent parser; +,- < *,/ < unary - < ^.
+
+    Each parsing method returns (expression, tree depth).
+    """
 
     def __init__(self, text):
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.groups = 0     # open parentheses and function calls
 
     def peek(self):
         return self.tokens[self.pos]
@@ -203,38 +226,62 @@ class _Parser:
         tok = tok or self.peek()
         raise ExprSyntaxError(message, tok[1] + 1)
 
+    def deeper(self, depth, tok):
+        """Depth of a node at ``tok`` over a child of ``depth``, bounded."""
+        if depth >= MAX_DEPTH:
+            self.error(f"expression nested deeper than {MAX_DEPTH} levels", tok)
+        return depth + 1
+
+    def group(self, tok):
+        """The sum inside a group opened at ``tok``, up to its ')'."""
+        self.groups += 1
+        if self.groups > MAX_DEPTH:
+            self.error(f"expression nested deeper than {MAX_DEPTH} levels", tok)
+        e, d = self.sum()
+        if self.peek()[0] != ")":
+            self.error("expected ')'")
+        self.next()
+        self.groups -= 1
+        return e, d
+
     def parse(self):
-        e = self.sum()
+        e, _ = self.sum()
         if self.peek()[0] != "end":
             self.error(f"unexpected {self.peek()[0]!r}")
         return e
 
     def sum(self):
-        e = self.term()
+        e, d = self.term()
         while self.peek()[0] in "+-":
-            op = self.next()[0]
-            rhs = self.term()
-            e = Add(e, rhs) if op == "+" else Add(e, Neg(rhs))
-        return e
+            tok = self.next()
+            rhs, dr = self.term()
+            if tok[0] == "-":
+                rhs, dr = Neg(rhs), self.deeper(dr, tok)
+            e, d = Add(e, rhs), self.deeper(max(d, dr), tok)
+        return e, d
 
     def term(self):
-        e = self.unary()
+        e, d = self.unary()
         while self.peek()[0] in "*/":
-            op = self.next()[0]
-            rhs = self.unary()
-            e = Mul(e, rhs) if op == "*" else Div(e, rhs)
-        return e
+            tok = self.next()
+            rhs, dr = self.unary()
+            e = Mul(e, rhs) if tok[0] == "*" else Div(e, rhs)
+            d = self.deeper(max(d, dr), tok)
+        return e, d
 
     def unary(self):
-        if self.peek()[0] == "-":
-            self.next()
-            return Neg(self.unary())
-        return self.power()
+        signs = []
+        while self.peek()[0] == "-":
+            signs.append(self.next())
+        e, d = self.power()
+        for tok in reversed(signs):
+            e, d = Neg(e), self.deeper(d, tok)
+        return e, d
 
     def power(self):
-        base = self.atom()
+        base, d = self.atom()
         if self.peek()[0] == "^":
-            self.next()
+            caret = self.next()
             sign = 1
             if self.peek()[0] == "-":
                 self.next()
@@ -243,8 +290,8 @@ class _Parser:
             if tok[0] != "num" or "." in tok[2]:
                 self.error("exponent must be an integer")
             self.next()
-            base = Pow(base, sign * int(tok[2]))
-        return base
+            base, d = Pow(base, sign * int(tok[2])), self.deeper(d, caret)
+        return base, d
 
     def atom(self):
         tok = self.next()
@@ -256,32 +303,28 @@ class _Parser:
                 value = Fraction(int(whole or 0)) + Fraction(int(frac or 0), 10 ** len(frac))
             else:
                 value = Fraction(int(text))
-            return Const(value)
+            return Const(value), 1
         if kind == "name":
             name = tok[2]
             if name == "x":
-                return Var()
+                return Var(), 1
             if name in _FUNCTIONS:
                 if self.peek()[0] != "(":
                     self.error(f"{name} must be followed by '('")
-                self.next()
-                arg = self.sum()
-                if self.peek()[0] != ")":
-                    self.error("expected ')'")
-                self.next()
-                return _FUNCTIONS[name](arg)
+                arg, d = self.group(self.next())
+                return _FUNCTIONS[name](arg), self.deeper(d, tok)
             self.error(f"unknown identifier {name!r}", tok)
         if kind == "(":
-            e = self.sum()
-            if self.peek()[0] != ")":
-                self.error("expected ')'")
-            self.next()
-            return e
+            return self.group(tok)
         self.error(f"unexpected {kind!r}", tok)
 
 
 def parse_expr(text):
-    """Parse ``text`` into an expression tree."""
+    """Parse ``text`` into an expression tree.
+
+    Raises ExprSyntaxError on malformed text and on a tree or a nesting of
+    groups deeper than MAX_DEPTH.
+    """
     return _Parser(text).parse()
 
 
@@ -290,29 +333,45 @@ def evaluate(e, x):
 
     Returns a ``Fraction`` when the result is exact (rational input, no
     transcendental nodes on the evaluated path), otherwise a float.
+
+    The first evaluation of a node walks its tree; later ones run a tape
+    compiled once for the node, which computes each structurally distinct
+    subtree once, with the walk's operations in the walk's order.
     """
+    tape = e._tape
+    if tape is None:
+        if e.children:
+            e._tape = False
+        return _walk(e, x)
+    if tape is False:
+        tape = e._tape = _compile(e)
+    return _run(tape, x)
+
+
+def _walk(e, x):
+    """Reference evaluation by recursion over the tree."""
     if isinstance(e, Const):
         return e.value
     if isinstance(e, Var):
         return Fraction(x) if isinstance(x, (int, Fraction)) else x
     if isinstance(e, Neg):
-        return -evaluate(e.children[0], x)
+        return -_walk(e.children[0], x)
     if isinstance(e, Add):
-        return evaluate(e.children[0], x) + evaluate(e.children[1], x)
+        return _walk(e.children[0], x) + _walk(e.children[1], x)
     if isinstance(e, Mul):
-        return evaluate(e.children[0], x) * evaluate(e.children[1], x)
+        return _walk(e.children[0], x) * _walk(e.children[1], x)
     if isinstance(e, Div):
-        num = evaluate(e.children[0], x)
-        den = evaluate(e.children[1], x)
+        num = _walk(e.children[0], x)
+        den = _walk(e.children[1], x)
         if den == 0:
             raise ZeroDivisionError(f"division by zero at x={x}")
         return num / den
     if isinstance(e, Pow):
-        base = evaluate(e.children[0], x)
+        base = _walk(e.children[0], x)
         if e.exponent < 0 and base == 0:
             raise ZeroDivisionError(f"zero raised to {e.exponent} at x={x}")
         return base ** e.exponent
-    arg = evaluate(e.children[0], x)
+    arg = _walk(e.children[0], x)
     if isinstance(e, Exp):
         return math.exp(arg)
     if isinstance(e, Sin):
@@ -320,6 +379,93 @@ def evaluate(e, x):
     if isinstance(e, Cos):
         return math.cos(arg)
     raise TypeError(f"not an expression node: {e!r}")
+
+
+_OPCODES = {Mul: 0, Add: 1, Neg: 2, Div: 3, Pow: 4, Exp: 5, Sin: 6, Cos: 7}
+
+
+def _compile(e):
+    """Tape of ``e``: (registers, register of x or None, instructions).
+
+    The registers start as the distinct constants and a slot for x.  Each
+    instruction ``(opcode, a, b)`` appends the value of one structurally
+    distinct composite subtree, computed from registers a and b (b is the
+    exponent of a power), in the order of first occurrence in the walk's
+    children-first traversal, so the last register holds e.  A walk that
+    raises at a subtree raises at its first occurrence, and no earlier
+    subtree raises, so the tape raises at the same subtree.
+    """
+    order, seen, stack = [], set(), [(e, False)]
+    while stack:                       # children-first, each object once
+        n, done = stack.pop()
+        if done:
+            order.append(n)
+        elif id(n) not in seen:
+            seen.add(id(n))
+            stack.append((n, True))
+            stack.extend((c, False) for c in reversed(n.children))
+    number = {}        # id(node) -> value number
+    classes = {}       # structural key -> value number
+    entries = []       # value number -> (opcode or None, a, b)
+    for n in order:
+        kids = n.children
+        if not kids:
+            key = (None, n.value if isinstance(n, Const) else None, None)
+        else:
+            op = _OPCODES[type(n)]
+            a = number[id(kids[0])]
+            key = (op, a, n.exponent if op == 4 else number[id(kids[-1])])
+        v = classes.get(key)
+        if v is None:
+            v = classes[key] = len(entries)
+            entries.append(key)
+        number[id(n)] = v
+    registers, var, reg = [], None, {}
+    for v, (op, value, _) in enumerate(entries):
+        if op is None:
+            reg[v] = len(registers)
+            if value is None:
+                var = reg[v]
+            registers.append(value)
+    code = []
+    for v, (op, a, b) in enumerate(entries):
+        if op is not None:
+            reg[v] = len(registers) + len(code)
+            code.append((op, reg[a], b if op == 4 else reg[b]))
+    return registers, var, code
+
+
+def _run(tape, x):
+    """Evaluate a compiled tape at ``x``; see ``_compile``."""
+    registers, var, code = tape
+    r = registers[:]
+    if var is not None:
+        r[var] = Fraction(x) if isinstance(x, (int, Fraction)) else x
+    push = r.append
+    for op, a, b in code:
+        if op == 0:
+            push(r[a] * r[b])
+        elif op == 1:
+            push(r[a] + r[b])
+        elif op == 2:
+            push(-r[a])
+        elif op == 3:
+            den = r[b]
+            if den == 0:
+                raise ZeroDivisionError(f"division by zero at x={x}")
+            push(r[a] / den)
+        elif op == 4:
+            base = r[a]
+            if b < 0 and base == 0:
+                raise ZeroDivisionError(f"zero raised to {b} at x={x}")
+            push(base ** b)
+        elif op == 5:
+            push(math.exp(r[a]))
+        elif op == 6:
+            push(math.sin(r[a]))
+        else:
+            push(math.cos(r[a]))
+    return r[-1]
 
 
 def max_residual(pairs, points):
@@ -339,52 +485,80 @@ def max_residual(pairs, points):
 
 
 def differentiate(e):
-    """Symbolic d/dx; the result is again an expression tree."""
+    """Symbolic d/dx; the result is again an expression tree.
+
+    The result is simplified and cached on ``e``.
+    """
+    d = e._deriv
+    if d is not None:
+        return d
     if isinstance(e, Const):
         return ZERO
     if isinstance(e, Var):
         return ONE
     if isinstance(e, Neg):
-        return simplify(Neg(differentiate(e.children[0])))
-    if isinstance(e, Add):
+        d = simplify(Neg(differentiate(e.children[0])))
+    elif isinstance(e, Add):
         a, b = e.children
-        return simplify(Add(differentiate(a), differentiate(b)))
-    if isinstance(e, Mul):
+        d = simplify(Add(differentiate(a), differentiate(b)))
+    elif isinstance(e, Mul):
         a, b = e.children
-        return simplify(Add(Mul(differentiate(a), b), Mul(a, differentiate(b))))
-    if isinstance(e, Div):
+        d = simplify(Add(Mul(differentiate(a), b), Mul(a, differentiate(b))))
+    elif isinstance(e, Div):
         a, b = e.children
         num = Add(Mul(differentiate(a), b), Neg(Mul(a, differentiate(b))))
-        return simplify(Div(num, Pow(b, 2)))
-    if isinstance(e, Pow):
+        d = simplify(Div(num, Pow(b, 2)))
+    elif isinstance(e, Pow):
         a = e.children[0]
         k = e.exponent
         if k == 0:
-            return ZERO
-        return simplify(Mul(Mul(Const(k), Pow(a, k - 1)), differentiate(a)))
-    arg = e.children[0]
-    darg = differentiate(arg)
-    if isinstance(e, Exp):
-        return simplify(Mul(Exp(arg), darg))
-    if isinstance(e, Sin):
-        return simplify(Mul(Cos(arg), darg))
-    if isinstance(e, Cos):
-        return simplify(Neg(Mul(Sin(arg), darg)))
-    raise TypeError(f"not an expression node: {e!r}")
+            d = ZERO
+        else:
+            d = simplify(Mul(Mul(Const(k), Pow(a, k - 1)), differentiate(a)))
+    else:
+        arg = e.children[0]
+        darg = differentiate(arg)
+        if isinstance(e, Exp):
+            d = simplify(Mul(Exp(arg), darg))
+        elif isinstance(e, Sin):
+            d = simplify(Mul(Cos(arg), darg))
+        elif isinstance(e, Cos):
+            d = simplify(Neg(Mul(Sin(arg), darg)))
+        else:
+            raise TypeError(f"not an expression node: {e!r}")
+    e._deriv = d
+    return d
 
 
 def simplify(e):
-    """Best-effort cleanup: constant folding plus 0/1 identities only."""
-    if isinstance(e, (Const, Var)):
-        return e
-    kids = [simplify(c) for c in e.children]
+    """Best-effort cleanup: constant folding plus 0/1 identities only.
+
+    The result is cached on ``e`` and marked as simplified, so simplifying
+    it again returns it at once and a tree built over simplified parts
+    costs only its new nodes.  A node that is already in simplified form
+    is returned itself.
+    """
+    done = e._simple
+    if done is not None:
+        return e if done is True else done
+    out = _rewrite(e, [simplify(c) for c in e.children])
+    if out is e:
+        e._simple = True
+    else:
+        e._simple = out
+        out._simple = True
+    return out
+
+
+def _rewrite(e, kids):
+    """One simplification step of ``e`` over its simplified children."""
     if isinstance(e, Neg):
         (a,) = kids
         if isinstance(a, Const):
             return Const(-a.value)
         if isinstance(a, Neg):
             return a.children[0]
-        return Neg(a)
+        return _rebuild(e, kids)
     if isinstance(e, Add):
         a, b = kids
         if isinstance(a, Const) and isinstance(b, Const):
@@ -393,7 +567,7 @@ def simplify(e):
             return b
         if isinstance(b, Const) and b.value == 0:
             return a
-        return Add(a, b)
+        return _rebuild(e, kids)
     if isinstance(e, Mul):
         a, b = kids
         if isinstance(a, Const) and isinstance(b, Const):
@@ -404,7 +578,7 @@ def simplify(e):
             return b
         if isinstance(b, Const) and b.value == 1:
             return a
-        return Mul(a, b)
+        return _rebuild(e, kids)
     if isinstance(e, Div):
         a, b = kids
         if isinstance(b, Const) and b.value == 1:
@@ -413,20 +587,26 @@ def simplify(e):
             return Const(a.value / b.value)
         if isinstance(a, Const) and a.value == 0 and not isinstance(b, Const):
             return ZERO
-        return Div(a, b)
+        return _rebuild(e, kids)
     if isinstance(e, Pow):
         (a,) = kids
         if e.exponent == 1:
             return a
         if e.exponent == 0:
             return ONE
-        if isinstance(a, Const):
-            if a.value == 0 and e.exponent < 0:
-                return Pow(a, e.exponent)
+        if isinstance(a, Const) and not (a.value == 0 and e.exponent < 0):
             return Const(a.value ** e.exponent)
-        return Pow(a, e.exponent)
-    (a,) = kids
-    return type(e)(a)
+        return _rebuild(e, kids)
+    return _rebuild(e, kids)
+
+
+def _rebuild(e, kids):
+    """``e`` over ``kids``: ``e`` itself when they are its own children."""
+    if all(k is c for k, c in zip(kids, e.children)):
+        return e
+    if isinstance(e, Pow):
+        return Pow(kids[0], e.exponent)
+    return type(e)(*kids)
 
 
 def to_str(e, parent_prec=0):

@@ -51,6 +51,18 @@ def test_bad_json_is_exit_two(tmp_path, capsys):
     assert main(["check", str(p)]) == 2
 
 
+@pytest.mark.parametrize("data, pointer", [
+    ({"tol": "abc"}, "/tol"),
+    ({"charts": [{"id": "c1"}, {"id": "c2"}],
+      "gluings": [{"points": [["c1"], ["c2", 0]]}]}, "/gluings/0/points/0"),
+    ({"charts": [{"id": "a", "h": "(" * 3000 + "x" + ")" * 3000}]}, "/charts/0/h"),
+    ({"charts": [{"id": "a", "h": "+".join(["x"] * 3000)}]}, "/charts/0/h"),
+], ids=["tol", "glue-point", "nested-parentheses", "long-sum"])
+def test_malformed_values_exit_two(tmp_path, capsys, data, pointer):
+    assert main(["check", write_cfg(tmp_path, data)]) == 2
+    assert pointer in capsys.readouterr().err
+
+
 def test_config_validation_paths(tmp_path):
     with pytest.raises(ConfigError, match="/fibre/dim"):
         load_config(write_cfg(tmp_path, {"fibre": {"dim": 0}}))

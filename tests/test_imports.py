@@ -1,6 +1,9 @@
 """Every name a package module imports is used in that module."""
 
 import ast
+import importlib
+import inspect
+import json
 import pathlib
 
 import pytest
@@ -32,3 +35,21 @@ def test_checker_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_traced_functions_are_plain_module_functions():
+    """Each ``module.function`` the benchmark's per-layer metrics name is a
+    plain function defined in that module, which is what the tracer wraps:
+    a rename or a caching decorator would leave the metric without a value.
+    """
+    bench = json.loads((PACKAGE.parent.parent / "BENCHMARK.json").read_text())
+    modules = {p.stem for p in MODULES}
+    named = {tuple(m["name"].split(".")[:2]) for m in bench["per_layer"]}
+    named = sorted((mod, fn) for mod, fn in named
+                   if mod in modules and fn != "self_ms")
+    assert named
+    for mod, fn in named:
+        module = importlib.import_module(f"diffwedge.{mod}")
+        obj = getattr(module, fn, None)
+        assert inspect.isfunction(obj) and obj.__module__ == module.__name__, \
+            f"{mod}.{fn} is not a plain function of diffwedge.{mod}"

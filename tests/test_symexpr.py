@@ -1,3 +1,4 @@
+import gc
 import math
 from fractions import Fraction
 
@@ -6,7 +7,8 @@ import sympy
 from hypothesis import given, strategies as st
 
 from diffwedge import symexpr
-from diffwedge.symexpr import (Const, ExprSyntaxError, ZERO, ONE, X,
+from diffwedge.symexpr import (Add, Const, Cos, Div, Exp, ExprSyntaxError,
+                               Mul, Neg, Pow, Sin, ZERO, ONE, X,
                                differentiate, evaluate, max_residual,
                                parse_expr, simplify, to_str)
 
@@ -153,3 +155,121 @@ def test_max_residual_mixes_exact_and_float_sides():
     assert isinstance(worst, float)
     worst, at = max_residual(pairs[:1], [Fraction(0), third])
     assert worst == float(Fraction(1, 9)) and at == third
+
+
+# ---------------------------------------------------------------------------
+# node caches and the compiled tape; the tree walk is the reference
+
+def _copy(e):
+    """A structurally equal tree that shares no composite node with ``e``."""
+    if not e.children:
+        return e
+    kids = [_copy(c) for c in e.children]
+    return Pow(kids[0], e.exponent) if isinstance(e, Pow) else type(e)(*kids)
+
+
+def _unary(e, kind):
+    return Pow(e, kind) if isinstance(kind, int) else kind(e)
+
+
+rich = st.deferred(lambda: st.one_of(
+    st.fractions(-3, 3, max_denominator=4).map(Const),
+    st.just(X),
+    st.tuples(rich, st.sampled_from([-3, -1, 0, 2, 3, Neg, Exp, Sin, Cos]))
+      .map(lambda t: _unary(*t)),
+    st.tuples(rich, rich, st.sampled_from([Add, Mul, Div])).map(lambda t: t[2](t[0], t[1])),
+    # shared subtrees: one object used twice, and an equal copy of it
+    st.tuples(rich, st.sampled_from([Add, Mul, Div])).map(lambda t: t[1](t[0], t[0])),
+    st.tuples(rich, st.sampled_from([Add, Mul, Div])).map(lambda t: t[1](t[0], _copy(t[0]))),
+))
+points = st.one_of(st.fractions(-3, 3, max_denominator=5), st.integers(-3, 3),
+                   st.floats(-3, 3, allow_nan=False))
+
+
+def _outcome(f, e, x):
+    """What f(e, x) gives: its type and value (floats by bits), or its error."""
+    try:
+        v = f(e, x)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+    return type(v), v.hex() if isinstance(v, float) else v
+
+
+@given(rich, st.lists(points, min_size=1, max_size=4))
+def test_compiled_evaluation_matches_the_walk(e, xs):
+    _outcome(evaluate, e, xs[0])          # the first evaluation walks
+    for x in xs:
+        assert _outcome(evaluate, e, x) == _outcome(symexpr._walk, e, x)
+    assert isinstance(e._tape, tuple) or not e.children
+
+
+def test_compiled_zero_divisor_raises_the_walk_message():
+    # at 0 both 1/x and x^-2 fail, and the walk reaches 1/x first
+    e = Div(ONE, X) + Pow(X, -2) * Div(X, X - 1)
+    for x, message in [(Fraction(0), "division by zero at x=0"),
+                       (1, "division by zero at x=1")]:
+        e = _copy(e)
+        evaluate(e, Fraction(1, 2))           # walks; the tape runs from here
+        for _ in range(2):
+            with pytest.raises(ZeroDivisionError, match=f"^{message}$"):
+                evaluate(e, x)
+    e = Pow(X - 1, -3) + Div(ONE, X - 1)
+    evaluate(e, 0)
+    for _ in range(2):
+        with pytest.raises(ZeroDivisionError, match="^zero raised to -3 at x=1$"):
+            evaluate(e, 1)
+
+
+@given(rich)
+def test_simplify_and_differentiate_are_cached(e):
+    s = simplify(e)
+    assert simplify(e) is s and simplify(s) is s
+    d = differentiate(e)
+    assert differentiate(e) is d and simplify(d) is d
+    fresh = _copy(e)
+    assert simplify(fresh) == s and differentiate(_copy(e)) == d
+
+
+def test_caches_make_no_reference_cycles():
+    gc.collect()
+    gc.disable()
+    try:
+        e = parse_expr("(x^2+1)/(x-3)*exp(sin(x)) - cos(2*x)^-2 + 0*x")
+        trees = [e, simplify(e), differentiate(e), differentiate(differentiate(e))]
+        for t in trees:
+            for x in (Fraction(1, 2), Fraction(1, 2), 0.25):
+                evaluate(t, x)
+        assert all(isinstance(t._tape, tuple) for t in trees)
+        del e, t, trees
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_nodes_have_no_instance_dict():
+    for e in (X, ONE, parse_expr("-exp(x)^2/sin(x)+cos(x)*x")):
+        assert not hasattr(e, "__dict__")
+
+
+# ---------------------------------------------------------------------------
+# depth bound
+
+def test_depth_bound_is_a_syntax_error():
+    n = symexpr.MAX_DEPTH
+    ok = ["(" * n + "x" + ")" * n, "+".join(["x"] * n), "-" * (n - 1) + "x",
+          "sin(" * (n - 1) + "x" + ")" * (n - 1), "1/(" * (n // 2) + "x" + ")" * (n // 2)]
+    for text in ok:
+        e = parse_expr(text)
+        d = differentiate(e)
+        for t in (e, simplify(e), d):
+            to_str(t)
+            evaluate(t, Fraction(1, 3))
+            evaluate(t, 0.5)
+    for text in ["(" * (n + 1) + "x" + ")" * (n + 1), "+".join(["x"] * (n + 1)),
+                 "-" * n + "x", "sin(" * n + "x" + ")" * n, "(" * 3000 + "x" + ")" * 3000,
+                 "+".join(["x"] * 3000), "-" * 3000 + "x"]:
+        with pytest.raises(ExprSyntaxError, match=f"deeper than {n} levels"):
+            parse_expr(text)
+    with pytest.raises(ExprSyntaxError) as exc:
+        parse_expr("+".join(["x"] * (n + 1)))
+    assert exc.value.column == 2 * n          # the n-th '+'
