@@ -41,18 +41,13 @@ def eval_vector(v, x):
     return [symexpr.evaluate(e, x) for e in v]
 
 
-def emat_block_sum(a, b, zero=ZERO):
-    """Block-diagonal [[a, 0], [0, b]]; ``zero`` fills the off-diagonal
-    blocks (Fraction(0) for rational glue maps)."""
-    n, m = len(a), len(b)
-    out = [[zero] * (n + m) for _ in range(n + m)]
-    for i in range(n):
-        for j in range(n):
-            out[i][j] = a[i][j]
-    for i in range(m):
-        for j in range(m):
-            out[n + i][n + j] = b[i][j]
-    return out
+def emat_block_sum(a, b):
+    """Block-diagonal [[a, 0], [0, b]]; the off-diagonal blocks hold ZERO
+    for expression matrices and Fraction(0) for rational glue maps."""
+    exprs = any(isinstance(v, Expr) for row in a + b for v in row)
+    zero = ZERO if exprs else Fraction(0)
+    return ([list(row) + [zero] * len(b) for row in a]
+            + [[zero] * len(a) + list(row) for row in b])
 
 
 def emat_kron(a, b):
@@ -257,50 +252,33 @@ def _sum_model(m1, m2):
 
 
 def _tensor_model(m1, m2):
-    n1, n2 = m1.dim, m2.dim
-    gens = []
-    for k in m1.nonsmooth_generators:
-        for j in range(n2):
-            e = [Fraction(0)] * n2
-            e[j] = Fraction(1)
-            gens.append([k[i] * e[t] for i in range(n1) for t in range(n2)])
-    for k in m2.nonsmooth_generators:
-        for i in range(n1):
-            e = [Fraction(0)] * n1
-            e[i] = Fraction(1)
-            gens.append([e[t] * k[j] for t in range(n1) for j in range(n2)])
-    return DvsModel(n1 * n2, tuple(tuple(g) for g in gens))
+    k1, k2 = m1.nonsmooth_generators, m2.nonsmooth_generators
+    gens = [emat_kron([k], [e])[0] for k in k1 for e in identity(m2.dim)]
+    gens += [emat_kron([e], [k])[0] for k in k2 for e in identity(m1.dim)]
+    return DvsModel(m1.dim * m2.dim, tuple(tuple(g) for g in gens))
+
+
+def _fibrewise(v, w, model_op, matrix_op):
+    """The bundle with fibres model_op(V_c, W_c); metrics and glue maps
+    combine by matrix_op."""
+    if v.base is not w.base and v.base != w.base:
+        raise ValueError("bundles live over different bases")
+    fibres = {c: model_op(v.fibres[c], w.fibres[c]) for c in v.fibres}
+    metrics = {c: matrix_op(v.metrics[c], w.metrics[c]) for c in v.metrics}
+    glue = []
+    for i, (rep, _) in enumerate(v.glue_maps):
+        maps = {p: matrix_op(v.glue_map(i, p), w.glue_map(i, p))
+                for p in v.base.glue_classes[i] if p != rep}
+        glue.append((rep, maps))
+    return PseudoBundle(v.base, fibres, metrics, v.gluing, tuple(glue))
 
 
 def direct_sum(v, w):
-    if v.base is not w.base and v.base != w.base:
-        raise ValueError("bundles live over different bases")
-    fibres = {c: _sum_model(v.fibres[c], w.fibres[c]) for c in v.fibres}
-    metrics = {c: emat_block_sum(v.metrics[c], w.metrics[c]) for c in v.metrics}
-    glue = []
-    for i, (rep, _) in enumerate(v.glue_maps):
-        maps = {}
-        for p in v.base.glue_classes[i]:
-            if p != rep:
-                maps[p] = emat_block_sum(v.glue_map(i, p), w.glue_map(i, p),
-                                        Fraction(0))
-        glue.append((rep, maps))
-    return PseudoBundle(v.base, fibres, metrics, v.gluing, tuple(glue))
+    return _fibrewise(v, w, _sum_model, emat_block_sum)
 
 
 def tensor_product(v, w):
-    if v.base is not w.base and v.base != w.base:
-        raise ValueError("bundles live over different bases")
-    fibres = {c: _tensor_model(v.fibres[c], w.fibres[c]) for c in v.fibres}
-    metrics = {c: emat_kron(v.metrics[c], w.metrics[c]) for c in v.metrics}
-    glue = []
-    for i, (rep, _) in enumerate(v.glue_maps):
-        maps = {}
-        for p in v.base.glue_classes[i]:
-            if p != rep:
-                maps[p] = emat_kron(v.glue_map(i, p), w.glue_map(i, p))
-        glue.append((rep, maps))
-    return PseudoBundle(v.base, fibres, metrics, v.gluing, tuple(glue))
+    return _fibrewise(v, w, _tensor_model, emat_kron)
 
 
 def dual_bundle(v):

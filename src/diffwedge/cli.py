@@ -23,7 +23,7 @@ from .connection import check_leibniz, check_metric_compatibility, \
     dual_connection, is_symmetric_connection, koszul_check, levi_civita
 from .dirac import check_action_compatibility, check_algebra_morphism, \
     check_clifford_connection, check_unitarity, clifford_connection, dirac, \
-    dirac_value_at, exterior_module, glue_dirac, verify_splitting
+    dirac_value_at, exterior_module, verify_splitting
 from .dvspace import DvsModel, dual_space, dual_metric, is_pseudo_metric, \
     pairing_map, smooth_form_basis, apply_form
 from .forms import dual_metric_identity_check, lambda1
@@ -52,6 +52,14 @@ def _expr(text, where):
         raise ConfigError(f"bad expression at {where}: {exc}")
 
 
+def _array(obj, key, where):
+    """``obj[key]`` as a list (absent: empty), or a config error."""
+    v = obj.get(key, [])
+    if not isinstance(v, list):
+        raise ConfigError(f"{where}: must be a list")
+    return v
+
+
 def load_config(path):
     try:
         with open(path) as fh:
@@ -68,7 +76,7 @@ def load_config(path):
         raise ConfigError(f"/tol: not a number: {raw['tol']!r}")
     cfg = {"name": raw.get("name", ""), "tol": tol}
     charts = []
-    for i, c in enumerate(raw.get("charts", [])):
+    for i, c in enumerate(_array(raw, "charts", "/charts")):
         if "id" not in c:
             raise ConfigError(f"/charts/{i}: missing id")
         charts.append({"id": c["id"],
@@ -78,7 +86,7 @@ def load_config(path):
     if len(set(ids)) != len(ids):
         raise ConfigError("duplicate chart ids")
     gluings = []
-    for i, g in enumerate(raw.get("gluings", [])):
+    for i, g in enumerate(_array(raw, "gluings", "/gluings")):
         pts = g.get("points")
         if not pts or len(pts) != 2:
             raise ConfigError(f"/gluings/{i}: needs [from, to] points")
@@ -113,14 +121,31 @@ def load_config(path):
     dd = raw.get("dirac")
     if dd is not None:
         sections = []
-        for j, s in enumerate(dd.get("sections", [])):
+        for j, s in enumerate(_array(dd, "sections", "/dirac/sections")):
+            if not isinstance(s, dict):
+                raise ConfigError(f"/dirac/sections/{j}: must be an object")
             comp = {}
             for cid, vec in s.items():
+                where = f"/dirac/sections/{j}/{cid}"
                 if cid not in ids:
                     raise ConfigError(f"/dirac/sections/{j}: unknown chart {cid}")
-                comp[cid] = [_expr(e, f"/dirac/sections/{j}/{cid}") for e in vec]
+                if not isinstance(vec, list) or len(vec) != 2:
+                    raise ConfigError(f"{where}: needs components [u, w]")
+                comp[cid] = [_expr(e, where) for e in vec]
             sections.append(comp)
-        points = [(p[0], _frac(p[1])) for p in dd.get("points", [])]
+        points = []
+        for k, p in enumerate(_array(dd, "points", "/dirac/points")):
+            if not isinstance(p, list) or len(p) != 2 or p[0] not in ids:
+                raise ConfigError(f"/dirac/points/{k}: needs a [chart id, "
+                                  "coordinate] pair on a configured chart")
+            p = (p[0], _frac(p[1]))
+            # the value at a glue point reads every branch of the point
+            need = {q[0] for g in gluings if p in (g["from"], g["to"])
+                    for q in (g["from"], g["to"])} | {p[0]}
+            if any(need - comp.keys() for comp in sections):
+                raise ConfigError(f"/dirac/points/{k}: a section lacks one "
+                                  f"of the charts {sorted(map(str, need))}")
+            points.append(p)
         cfg["dirac"] = {"sections": sections, "points": points}
     else:
         cfg["dirac"] = None
@@ -177,13 +202,15 @@ def _build_module(cfg):
     if len(cfg["gluings"]) != 1:
         raise ConfigError("exactly one gluing is supported for the glued suites")
     g = cfg["gluings"][0]
-    legs1 = [c for c in cfg["charts"] if c["id"] == g["from"][0]]
-    legs2 = [c for c in cfg["charts"] if c["id"] == g["to"][0]]
-    lam1 = lambda1(WedgeComplex((Chart(legs1[0]["id"]),)),
-                   {legs1[0]["id"]: legs1[0]["h"]})
-    lam2 = lambda1(WedgeComplex((Chart(legs2[0]["id"]),)),
-                   {legs2[0]["id"]: legs2[0]["h"]})
-    return exterior_module(lam1, lam2, [(g["from"], g["to"])], g["scale"])
+    lams = []
+    for cid, _ in (g["from"], g["to"]):
+        i = [c["id"] for c in cfg["charts"]].index(cid)
+        try:
+            lams.append(lambda1(WedgeComplex((Chart(cid),)),
+                                {cid: cfg["charts"][i]["h"]}))
+        except ValueError as exc:
+            raise ConfigError(f"/charts/{i}/h: {exc}")
+    return exterior_module(*lams, [(g["from"], g["to"])], g["scale"])
 
 
 def _random_poly(rng):
@@ -292,11 +319,10 @@ def _glued_suite(cfg, seed, tol):
                                           1e-9)
     verdicts.append(_verdict("clifford-connection", ok, residual=worst))
 
-    ok, worst = check_unitarity(module, pts, glue=True, tol=1e-9)
+    ok, worst = check_unitarity(module, pts, tol=1e-9)
     verdicts.append(_verdict("unitarity", ok, residual=worst))
 
-    d1 = dirac(module)
-    d = glue_dirac(d1, d1, module)
+    d = dirac(module)
     eval_points = [(c1, Fraction(i, 3)) for i in range(-6, 7) if i != 0]
     eval_points += [(c2, Fraction(i, 3)) for i in range(1, 7)]
     eval_points.append(g["from"])
@@ -376,7 +402,6 @@ def run(command, cfg, seed=0, tol=None):
         if cfg["dirac"] is not None:
             module = _build_module(cfg)
             d = dirac(module)
-            d = glue_dirac(d, d, module)
             out = []
             for comp in cfg["dirac"]["sections"]:
                 row = {}

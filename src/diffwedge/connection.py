@@ -2,12 +2,9 @@
 
 A connection is stored as one Christoffel matrix of expressions per
 chart; applying it to a section gives (s' + Gamma s) dx tensor frame
-chartwise.  At glue fibres the value is assembled by one of two rules:
-
-* "generic": every branch contributes its one-form slot, with the fibre
-  glue map pushed into the representative fibre;
-* "lambda1": the connection lives on the one-form bundle itself and the
-  value is branch-diagonal.
+chartwise.  At a glue fibre each branch contributes its one-form slot,
+pushed into the representative fibre on a pseudo-bundle and kept on its
+branch on the one-form bundle itself.
 
 Vector fields are sections of the dual of the one-form bundle; their
 covariant derivative uses the dual Christoffel symbol -Gamma, the one
@@ -20,9 +17,10 @@ from dataclasses import dataclass
 
 from . import symexpr
 from .symexpr import ZERO, max_residual, simplify
-from .bundle import PseudoBundle, as_expr, emat_block_sum, eval_vector
+from .bundle import PseudoBundle, as_expr, emat_block_sum, emat_kron, \
+    eval_vector
 from .forms import OneFormBundle
-from .linalg import mat_vec
+from .linalg import identity, mat_vec
 from .wedge import _as_point
 
 
@@ -30,38 +28,42 @@ from .wedge import _as_point
 class Connection:
     bundle: object          # PseudoBundle or OneFormBundle
     gamma: dict             # chart id -> Expr matrix
-    mode: str = "generic"   # glue-fibre assembly rule
 
 
 def _d(e):
     return simplify(symexpr.differentiate(e))
 
 
-def _chart_apply(conn, comps, cid):
-    """(s' + Gamma s) on one chart, as an Expr vector (dx coefficient)."""
-    s = [as_expr(e) for e in comps[cid]]
-    g = conn.gamma[cid]
+def _nabla(g, s):
+    """s' + Gamma s for an Expr vector s, entries left unsimplified."""
     out = []
     for i in range(len(s)):
         acc = _d(s[i])
         for j in range(len(s)):
             acc = acc + g[i][j] * s[j]
-        out.append(simplify(acc))
+        out.append(acc)
     return out
+
+
+def _bracket(b1, b2):
+    """[b1 d/dx, b2 d/dx] as its d/dx coefficient, unsimplified."""
+    return b1 * _d(b2) - b2 * _d(b1)
 
 
 def apply_connection(conn, comps):
     """Chartwise one-form part of the connection value, per chart."""
-    return {cid: _chart_apply(conn, comps, cid) for cid in comps}
+    return {cid: [simplify(v) for v in
+                  _nabla(conn.gamma[cid], [as_expr(e) for e in comps[cid]])]
+            for cid in comps}
 
 
 def connection_value_at(conn, comps, p):
-    """Glue-fibre value, assembled per the connection's mode.
+    """Glue-fibre value: {branch: fibre vector}.
 
-    Returns {branch: fibre vector}: for "generic" the vectors live in
-    the representative fibre (glue maps applied); for "lambda1" each
-    branch carries its own one-form slot.  At a regular point both give
-    the single chart value.
+    On a pseudo-bundle the vectors live in the representative fibre
+    (glue maps applied); on the one-form bundle each branch carries its
+    own one-form slot.  At a regular point both give the single chart
+    value.
     """
     p = _as_point(p)
     base = conn.bundle.base
@@ -69,13 +71,11 @@ def connection_value_at(conn, comps, p):
     nabla = apply_connection(conn, comps)
     if i is None:
         return {p: eval_vector(nabla[p[0]], p[1])}
-    cls = base.glue_classes[i]
+    push = isinstance(conn.bundle, PseudoBundle)
     out = {}
-    for br in cls:
+    for br in base.glue_classes[i]:
         val = eval_vector(nabla[br[0]], br[1])
-        if conn.mode == "generic" and isinstance(conn.bundle, PseudoBundle):
-            val = mat_vec(conn.bundle.glue_map(i, br), val)
-        out[br] = val
+        out[br] = mat_vec(conn.bundle.glue_map(i, br), val) if push else val
     return out
 
 
@@ -91,18 +91,15 @@ def covariant_derivative(conn, t, comps):
 
 
 def lie_bracket(t1, t2):
-    out = {}
-    for cid in t1:
-        b1, b2 = as_expr(t1[cid]), as_expr(t2[cid])
-        out[cid] = simplify(b1 * _d(b2) - b2 * _d(b1))
-    return out
+    return {cid: simplify(_bracket(as_expr(t1[cid]), as_expr(t2[cid])))
+            for cid in t1}
 
 
 def levi_civita(lam):
     """The symmetric metric connection on a one-form bundle: h'/(2h)."""
     gamma = {cid: [[simplify(_d(h) / (as_expr(2) * h))]]
              for cid, h in lam.h.items()}
-    return Connection(lam, gamma, "lambda1")
+    return Connection(lam, gamma)
 
 
 def dual_connection(conn):
@@ -110,7 +107,7 @@ def dual_connection(conn):
     gamma = {cid: [[simplify(ZERO - g[j][i]) for j in range(len(g))]
                    for i in range(len(g))]
              for cid, g in conn.gamma.items()}
-    return Connection(conn.bundle, gamma, conn.mode)
+    return Connection(conn.bundle, gamma)
 
 
 def torsion(conn_fields, t1, t2):
@@ -120,10 +117,10 @@ def torsion(conn_fields, t1, t2):
     """
     out = {}
     for cid in t1:
-        g = conn_fields.gamma[cid][0][0]
+        g = conn_fields.gamma[cid]
         b1, b2 = as_expr(t1[cid]), as_expr(t2[cid])
-        a = b1 * (_d(b2) + g * b2) - b2 * (_d(b1) + g * b1)
-        out[cid] = simplify(a - (b1 * _d(b2) - b2 * _d(b1)))
+        a = b1 * _nabla(g, [b2])[0] - b2 * _nabla(g, [b1])[0]
+        out[cid] = simplify(a - _bracket(b1, b2))
     return out
 
 
@@ -137,41 +134,31 @@ def is_symmetric_connection(conn_fields, fields, points, tol=1e-10):
     return True
 
 
-def glue_connections(c1, c2, bundle, mode="generic"):
+def glue_connections(c1, c2, bundle):
     """Connection on a glued bundle from connections on the legs.
 
     At one-point gluings of lines the compatibility condition between
-    the leg connections is empty, so the assembly is unconditional: the
-    Christoffel data is the union and the glue-fibre value follows the
-    declared mode.
+    the leg connections is empty: the Christoffel data is the union.
     """
-    gamma = {**c1.gamma, **c2.gamma}
-    return Connection(bundle, gamma, mode)
+    return Connection(bundle, {**c1.gamma, **c2.gamma})
 
 
 def sum_connection(c1, c2, bundle=None):
     gamma = {cid: emat_block_sum(c1.gamma[cid], c2.gamma[cid])
              for cid in c1.gamma}
-    return Connection(bundle if bundle is not None else c1.bundle, gamma,
-                      c1.mode)
+    return Connection(bundle if bundle is not None else c1.bundle, gamma)
 
 
 def tensor_connection(c1, c2, bundle=None):
     """Gamma1 kron Id + Id kron Gamma2 chartwise."""
     gamma = {}
-    for cid in c1.gamma:
-        g1, g2 = c1.gamma[cid], c2.gamma[cid]
-        n, m = len(g1), len(g2)
-        out = [[ZERO] * (n * m) for _ in range(n * m)]
-        for i in range(n):
-            for k in range(m):
-                for j in range(n):
-                    out[i * m + k][j * m + k] = out[i * m + k][j * m + k] + g1[i][j]
-                for l in range(m):
-                    out[i * m + k][i * m + l] = out[i * m + k][i * m + l] + g2[k][l]
-        gamma[cid] = [[simplify(v) for v in row] for row in out]
-    return Connection(bundle if bundle is not None else c1.bundle, gamma,
-                      c1.mode)
+    for cid, g1 in c1.gamma.items():
+        g2 = c2.gamma[cid]
+        rows = zip(emat_kron(g1, identity(len(g2))),
+                   emat_kron(identity(len(g1)), g2))
+        gamma[cid] = [[simplify(u + v) for u, v in zip(r1, r2)]
+                      for r1, r2 in rows]
+    return Connection(bundle if bundle is not None else c1.bundle, gamma)
 
 
 def _chart_metric(conn, cid):
@@ -250,12 +237,9 @@ def koszul_check(lam, triples, points, tol=1e-9):
             def act(b, f):
                 return b * _d(simplify(f))
 
-            br12 = b1 * _d(b2) - b2 * _d(b1)
-            br23 = b2 * _d(b3) - b3 * _d(b2)
-            br31 = b3 * _d(b1) - b1 * _d(b3)
             rhs = (act(b1, pair(b2, b3)) + act(b2, pair(b1, b3))
-                   - act(b3, pair(b1, b2))
-                   + pair(br12, b3) - pair(br23, b1) + pair(br31, b2))
+                   - act(b3, pair(b1, b2)) + pair(_bracket(b1, b2), b3)
+                   - pair(_bracket(b2, b3), b1) + pair(_bracket(b3, b1), b2))
             sides = [(simplify(lhs), simplify(rhs))]
             worst = max(worst, max_residual(sides, points.get(cid, []))[0])
     return worst <= tol, worst

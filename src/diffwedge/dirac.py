@@ -2,10 +2,10 @@
 
 On a single chart the module is the exterior algebra of the one-form
 line, with basis (1, dx) and action c(a dx) = a dx wedge . minus a h
-contraction; the Dirac operator of a connection is the action applied
-to the one-form slot of the connection value.  Gluing two such modules
-uses the multiplicative extension of the one-form glue map dx -> a dy,
-which is an isometry exactly when h1 = a^2 h2 at the glue point.
+contraction.  The Dirac operator of a connection nabla is D = c o nabla.
+Gluing two such modules uses the multiplicative extension of the
+one-form glue map dx -> a dy, an isometry exactly when h1 = a^2 h2 at
+the glue point.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from fractions import Fraction
 from .symexpr import ZERO, ONE, max_residual, simplify
 from .bundle import PseudoBundle, as_expr, eval_vector, glue_bundles, \
     trivial_bundle
-from .connection import Connection, _d, connection_value_at, \
+from .connection import Connection, _nabla, connection_value_at, \
     glue_connections, levi_civita
 from .dvspace import apply_form, standard_model
 from .forms import OneFormBundle, g_lambda
@@ -148,7 +148,7 @@ def check_algebra_morphism(module, glue_point, tol=1e-12):
     return True, ""
 
 
-def check_unitarity(module, points_per_chart, glue=True, tol=1e-10):
+def check_unitarity(module, points_per_chart, tol=1e-10):
     """g_E(c(alpha)e, c(alpha)e') = g_E(e, e') for unit one-forms alpha.
 
     On charts alpha = dx / sqrt(h); at glue fibres alpha is the paired
@@ -171,21 +171,19 @@ def check_unitarity(module, points_per_chart, glue=True, tol=1e-10):
             alpha = 1 / float(h) ** 0.5
             c = module.action_matrix(cid, x, alpha)
             worst = gram(worst, lambda e: mat_vec(c, e), h)
-    if glue:
-        for i, cls in enumerate(module.bundle.base.glue_classes):
-            rep = module.bundle.rep_point(i)
-            g = g_lambda(module.lam, rep)
-            branches = module.lam.fibre_branches(rep)
-            # paired form: source components scaled so each maps onto the
-            # representative's, then normalized in the weighted glue metric
-            comp = {}
-            for br in branches:
-                comp[br] = 1 / float(module.scales.get(br, Fraction(1)))
-            norm = sum(g[k][k] * comp[br] ** 2
-                       for k, br in enumerate(branches)) ** 0.5
-            value = {br: comp[br] / norm for br in branches}
-            worst = gram(worst, lambda e: induced_action(module, i, value, e),
-                         module.lam.h_at(rep[0], rep[1]))
+    for i, cls in enumerate(module.bundle.base.glue_classes):
+        rep = module.bundle.rep_point(i)
+        g = g_lambda(module.lam, rep)
+        branches = module.lam.fibre_branches(rep)
+        # paired form: source components scaled so each maps onto the
+        # representative's, then normalized in the weighted glue metric
+        comp = {br: 1 / float(module.scales.get(br, Fraction(1)))
+                for br in branches}
+        norm = sum(g[k][k] * comp[br] ** 2
+                   for k, br in enumerate(branches)) ** 0.5
+        value = {br: comp[br] / norm for br in branches}
+        worst = gram(worst, lambda e: induced_action(module, i, value, e),
+                     module.lam.h_at(rep[0], rep[1]))
     return worst <= tol, worst
 
 
@@ -200,7 +198,14 @@ def clifford_connection(module, lam_conn=None):
         lam_conn = levi_civita(module.lam)
     gamma = {cid: [[ZERO, ZERO], [ZERO, g[0][0]]]
              for cid, g in lam_conn.gamma.items()}
-    return Connection(module.bundle, gamma, "generic")
+    return Connection(module.bundle, gamma)
+
+
+def _act(h, u, w, al=None):
+    """c(al dx)(u + w dx) = -h al w + al u dx as components; None is dx."""
+    if al is not None:
+        h, u = h * al, al * u
+    return [ZERO - h * w, u]
 
 
 def check_clifford_connection(module, conn_e, lam_conn, batteries, points,
@@ -220,19 +225,17 @@ def check_clifford_connection(module, conn_e, lam_conn, batteries, points,
             al = as_expr(alpha[cid])
             u, w = as_expr(r[cid][0]), as_expr(r[cid][1])
             h = module.lam.h[cid]
-            gam_e = conn_e.gamma[cid]
-            gam_l = lam_conn.gamma[cid][0][0]
             b = as_expr(t[cid])
-            # c(alpha dx) r = (-h alpha w, alpha u)
-            cu = simplify(ZERO - h * al * w)
-            cw = simplify(al * u)
-            lhs = [b * (_d(cu) + gam_e[0][0] * cu + gam_e[0][1] * cw),
-                   b * (_d(cw) + gam_e[1][0] * cu + gam_e[1][1] * cw)]
-            nal = b * (_d(al) + gam_l * al)
-            nu = b * (_d(u) + gam_e[0][0] * u + gam_e[0][1] * w)
-            nw = b * (_d(w) + gam_e[1][0] * u + gam_e[1][1] * w)
-            rhs = [ZERO - h * nal * w + (ZERO - h * al * nw),
-                   nal * u + al * nu]
+
+            def nabla_t(gamma, s):
+                return [b * v for v in _nabla(gamma, s)]
+
+            (nal,) = nabla_t(lam_conn.gamma[cid], [al])
+            nr = nabla_t(conn_e.gamma[cid], [u, w])
+            lhs = nabla_t(conn_e.gamma[cid],
+                          [simplify(v) for v in _act(h, u, w, al)])
+            rhs = [p + q for p, q in zip(_act(h, u, w, nal),
+                                         _act(h, nr[0], nr[1], al))]
             sides = [(simplify(l), simplify(rr)) for l, rr in zip(lhs, rhs)]
             worst = max(worst, max_residual(sides, points.get(cid, []))[0])
     return worst <= tol, worst
@@ -256,12 +259,9 @@ def apply_dirac_chart(d, comps, cid):
     D s = c(dx)(s' + Gamma s): the one-form slot of the connection value
     fed back through the action.
     """
-    gam = d.connection.gamma[cid]
-    u, w = as_expr(comps[cid][0]), as_expr(comps[cid][1])
-    h = d.module.lam.h[cid]
-    du = _d(u) + gam[0][0] * u + gam[0][1] * w
-    dw = _d(w) + gam[1][0] * u + gam[1][1] * w
-    return [simplify(ZERO - h * dw), simplify(du)]
+    s = [as_expr(e) for e in comps[cid]]
+    du, dw = _nabla(d.connection.gamma[cid], s)
+    return [simplify(v) for v in _act(d.module.lam.h[cid], du, dw)]
 
 
 def apply_dirac(d, comps):
@@ -291,13 +291,12 @@ def glue_dirac(d1, d2, module):
 
     Preconditions (metric gate, action equivariance) are enforced or
     checkable via the module constructor and check_action_compatibility;
-    the glued connection is the chart union with generic glue assembly.
+    the glued connection is the chart union of the leg connections.
     """
     ok, witness = check_action_compatibility(module)
     if not ok:
         raise ValueError(f"leg actions not compatible: {witness}")
-    conn = glue_connections(d1.connection, d2.connection, module.bundle,
-                            "generic")
+    conn = glue_connections(d1.connection, d2.connection, module.bundle)
     return DiracOperator(module, conn)
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .linalg import (
     frac_matrix,
@@ -65,6 +66,11 @@ class DvsModel:
     @property
     def k_dim(self):
         return len(self.nonsmooth_generators)
+
+    @cached_property
+    def _dual(self):
+        """dual_space(self), computed once; callers must not mutate it."""
+        return dual_space(self)
 
 
 def standard_model(n):
@@ -161,7 +167,7 @@ def pairing_map(model, a, v):
     """Coordinates of a(v, .) with respect to the dual_space basis."""
     a = frac_matrix(a)
     cov = mat_vec(a, [Fraction(x) for x in v])
-    dual = dual_space(model)
+    dual = model._dual
     coords = solve(transpose(dual), cov) if dual else []
     if coords is None:
         raise ValueError("pairing image is outside the smooth dual")
@@ -178,6 +184,8 @@ def dual_metric(model, a):
     a = frac_matrix(a)
     v0 = characteristic_subspace(model, a)
     d = len(v0)
+    if d == 0:
+        return []       # K is everything: the dual is 0-dimensional
     # columns: coordinates of phi(v0_i) in the dual basis
     p = transpose([pairing_map(model, a, v) for v in v0])
     g = [[apply_form(a, v0[i], v0[j]) for j in range(d)] for i in range(d)]
@@ -206,31 +214,33 @@ class CompatibilityVerdict:
 
 
 def check_map_compatibility(model1, g1, model2, g2, f):
-    """Is g1(u, v) = g2(F u, F v)?  Also reports the structural conditions."""
+    """Is g1(u, v) = g2(F u, F v)?  Also reports the structural conditions.
+
+    Exact on rational input, within 1e-12 when any entry is a float.
+    """
+    floats = any(isinstance(x, float) for m in (g1, g2, f)
+                 for row in m for x in row)
+    tol = 1e-12 if floats else 0
     g1 = frac_matrix(g1)
     g2 = frac_matrix(g2)
     f = frac_matrix(f)
     if len(f) != model2.dim or len(f[0]) != model1.dim:
         raise ValueError("map shape does not match the fibre dimensions")
     pulled = mat_mul(transpose(f), mat_mul(g2, f))
-    isometry = pulled == g1
+    n = model1.dim
+    bad = [(i, j) for i in range(n) for j in range(n)
+           if abs(pulled[i][j] - g1[i][j]) > tol]
     witness = ""
-    if not isometry:
-        n = model1.dim
-        for i in range(n):
-            for j in range(n):
-                if pulled[i][j] != g1[i][j]:
-                    witness = (f"g1[e{i + 1},e{j + 1}]={g1[i][j]} but "
-                               f"g2[Fe{i + 1},Fe{j + 1}]={pulled[i][j]}")
-                    break
-            if witness:
-                break
+    if bad:
+        i, j = bad[0]
+        witness = (f"g1[e{i + 1},e{j + 1}]={g1[i][j]} but "
+                   f"g2[Fe{i + 1},Fe{j + 1}]={pulled[i][j]}")
     v0 = characteristic_subspace(model1, g1)
     w0 = characteristic_subspace(model2, g2)
     ker = nullspace(f)
     kernel_ok = not any(in_span(v0, k) and any(x != 0 for x in k) for k in _span_meet(ker, v0))
     image_ok = all(in_span(w0, mat_vec(f, v)) for v in v0)
-    return CompatibilityVerdict(isometry, kernel_ok, image_ok, witness)
+    return CompatibilityVerdict(not bad, kernel_ok, image_ok, witness)
 
 
 def _span_meet(basis_a, basis_b):

@@ -206,7 +206,7 @@ def test_criterion_05_connections():
               {c: [rnd_poly(rng)] for c in ("a", "b")}) for _ in range(3)]
     ok, worst, _ = check_metric_compatibility(lc, pairs, pts, 1e-10)
     assert ok, worst
-    flat = Connection(lam, {"a": [[ZERO]], "b": [[ZERO]]}, "lambda1")
+    flat = Connection(lam, {"a": [[ZERO]], "b": [[ZERO]]})
     ok, worst, _ = check_metric_compatibility(flat, pairs, pts, 1e-10)
     assert not ok
     fields = [{c: rnd_poly(rng) for c in ("a", "b")} for _ in range(3)]
@@ -222,8 +222,7 @@ def test_criterion_06_glued_connection():
     lam = glued_lambda()
     lam1 = lambda1(line("a"), {"a": "exp(x)"})
     lam2 = lambda1(line("b"), {"b": "exp(-x)"})
-    glued = glue_connections(levi_civita(lam1), levi_civita(lam2), lam,
-                             "lambda1")
+    glued = glue_connections(levi_civita(lam1), levi_civita(lam2), lam)
     lc = levi_civita(lam)
     pts = {c: GRID for c in ("a", "b")}
     for c in ("a", "b"):
@@ -328,7 +327,7 @@ def test_criterion_09_dirac_flagship():
     ok, worst = check_clifford_connection(module, conn_e, lc, batteries,
                                           pts, 1e-9)
     assert ok, worst
-    ok, worst = check_unitarity(module, pts, glue=True, tol=1e-9)
+    ok, worst = check_unitarity(module, pts, tol=1e-9)
     assert ok, worst
 
 

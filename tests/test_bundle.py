@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from diffwedge import symexpr
-from diffwedge.bundle import (Section, direct_sum, dual_bundle, emat_inverse,
+from diffwedge.bundle import (Section, direct_sum, dual_bundle, emat_block_sum,
+                              emat_inverse,
                               eval_matrix, expr_matrix, glue_bundles,
                               glue_sections, make_section, phi_dual, phi_sum,
                               phi_tensor, section_add, section_fn_mul,
@@ -231,3 +232,13 @@ def _blockdiag(a, b):
         for j in range(m):
             out[n + i][n + j] = b[i][j]
     return out
+
+
+def test_emat_block_sum_fill_follows_entries():
+    exprs = emat_block_sum(expr_matrix([["x"]]), expr_matrix([["1", "x"],
+                                                              ["0", "2"]]))
+    assert exprs[0][1] == symexpr.ZERO and exprs[2][0] == symexpr.ZERO
+    assert all(isinstance(v, symexpr.Expr) for row in exprs for v in row)
+    fracs = emat_block_sum(identity(1), frac_matrix([[2, 1], [0, 3]]))
+    assert fracs == frac_matrix([[1, 0, 0], [0, 2, 1], [0, 0, 3]])
+    assert all(type(v) is Fraction for row in fracs for v in row)

@@ -51,15 +51,42 @@ def test_bad_json_is_exit_two(tmp_path, capsys):
     assert main(["check", str(p)]) == 2
 
 
-@pytest.mark.parametrize("data, pointer", [
-    ({"tol": "abc"}, "/tol"),
-    ({"charts": [{"id": "c1"}, {"id": "c2"}],
-      "gluings": [{"points": [["c1"], ["c2", 0]]}]}, "/gluings/0/points/0"),
-    ({"charts": [{"id": "a", "h": "(" * 3000 + "x" + ")" * 3000}]}, "/charts/0/h"),
-    ({"charts": [{"id": "a", "h": "+".join(["x"] * 3000)}]}, "/charts/0/h"),
-], ids=["tol", "glue-point", "nested-parentheses", "long-sum"])
-def test_malformed_values_exit_two(tmp_path, capsys, data, pointer):
-    assert main(["check", write_cfg(tmp_path, data)]) == 2
+GLUED = {"charts": [{"id": "a"}, {"id": "b"}],
+         "gluings": [{"points": [["a", 0], ["b", 0]]}]}
+
+
+@pytest.mark.parametrize("command, data, pointer", [
+    ("check", {"tol": "abc"}, "/tol"),
+    ("check", {"charts": [{"id": "c1"}, {"id": "c2"}],
+               "gluings": [{"points": [["c1"], ["c2", 0]]}]},
+     "/gluings/0/points/0"),
+    ("check", {"charts": [{"id": "a", "h": "(" * 3000 + "x" + ")" * 3000}]},
+     "/charts/0/h"),
+    ("check", {"charts": [{"id": "a", "h": "+".join(["x"] * 3000)}]},
+     "/charts/0/h"),
+    ("dirac", {**GLUED, "dirac": {"sections": [{"a": ["x"], "b": ["1", "x"]}],
+                                  "points": [["a", 1]]}},
+     "/dirac/sections/0/a"),
+    ("dirac", {**GLUED, "dirac": {"sections": [{"a": ["x", "1"]}],
+                                  "points": [["a", 0]]}},
+     "/dirac/points/0"),
+    ("dirac", {**GLUED, "dirac": {"sections": [{"a": ["x", "1"],
+                                                "b": ["x", "1"]}],
+                                  "points": [["a", 1], ["z", 0]]}},
+     "/dirac/points/1"),
+    ("check", {"charts": {"id": "a"}}, "/charts"),
+    ("check", {"charts": [{"id": "a"}, {"id": "b"}],
+               "gluings": {"points": [["a", 0], ["b", 0]]}}, "/gluings"),
+    ("dirac", {**GLUED, "dirac": {"sections": {"a": ["x", "1"]}}},
+     "/dirac/sections"),
+    ("check", {"charts": [{"id": "a", "h": "x"}, {"id": "b", "h": "1"}],
+               "gluings": [{"points": [["a", 1], ["b", 0]]}]}, "/charts/0/h"),
+], ids=["tol", "glue-point", "nested-parentheses", "long-sum",
+        "one-component-section", "point-section-lacks", "point-unknown-chart",
+        "charts-object", "gluings-object", "sections-object",
+        "h-not-positive"])
+def test_malformed_values_exit_two(tmp_path, capsys, command, data, pointer):
+    assert main([command, write_cfg(tmp_path, data)]) == 2
     assert pointer in capsys.readouterr().err
 
 
@@ -160,3 +187,25 @@ def test_report_runs_the_fibre_suite_once(monkeypatch):
     assert code == 0 and len(calls) == 1
     names = [v["name"] for v in report["verdicts"]]
     assert names.count("dual-metric-defining-identity") == 1
+
+
+@pytest.mark.parametrize("command", ["dual-metric", "check", "report"])
+def test_zero_dimensional_dual(tmp_path, capsys, command):
+    # every direction non-smooth: the dual is 0-dimensional, its metric 0x0
+    p = write_cfg(tmp_path, {"fibre": {"dim": 2, "nonsmooth": [[1, 0], [0, 1]],
+                                       "metric": [[0, 0], [0, 0]]}})
+    assert main([command, p]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["values"]["dual_metric"] == []
+    passed = {v["name"]: v["pass"] for v in report["verdicts"]}
+    assert passed["dual-metric-defining-identity"]
+
+
+def test_float_metric_glue_within_tolerance(tmp_path, capsys):
+    # 5/3 exp(0) is a float next to the exact 5/3 of the other chart
+    p = write_cfg(tmp_path, {"charts": [{"id": "a", "h": "5/3*exp(x)"},
+                                        {"id": "b", "h": "5/3"}],
+                             "gluings": [{"points": [["a", 0], ["b", 0]],
+                                          "scale": 1}]})
+    assert main(["check", p]) == 0
+    assert json.loads(capsys.readouterr().out)["failed"] == []

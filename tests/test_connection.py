@@ -71,7 +71,7 @@ def test_levi_civita_finite_difference_oracle():
 
 def test_apply_flat_and_levi_civita():
     lam = lambda1(line("a"), {"a": "exp(x)"})
-    flat = Connection(lam, {"a": [[ZERO]]}, "lambda1")
+    flat = Connection(lam, {"a": [[ZERO]]})
     out = apply_connection(flat, {"a": ["x^2"]})
     assert evaluate(out["a"][0], Fraction(3)) == 6
     lc = levi_civita(lam)
@@ -83,7 +83,7 @@ def test_apply_flat_and_levi_civita():
 
 def test_covariant_derivative_examples():
     lam = lambda1(line("a"), {"a": "exp(x)"})
-    flat = Connection(lam, {"a": [[ZERO]]}, "lambda1")
+    flat = Connection(lam, {"a": [[ZERO]]})
     out = covariant_derivative(flat, {"a": "1"}, {"a": ["x^2"]})
     assert evaluate(out["a"][0], Fraction(5)) == 10
     lc = levi_civita(lam)
@@ -134,8 +134,7 @@ def test_torsion_vanishes():
               {"a": "cos(x)", "b": "x^2"}]
     assert is_symmetric_connection(dual, fields, pts("a", "b"), 1e-10)
     # the cancellation is automatic in one dimension, any Christoffel
-    arbitrary = Connection(lam, {"a": [[as_expr(1)]], "b": [[as_expr("x")]]},
-                           "lambda1")
+    arbitrary = Connection(lam, {"a": [[as_expr(1)]], "b": [[as_expr("x")]]})
     assert is_symmetric_connection(arbitrary, fields, pts("a", "b"), 1e-10)
     tt = torsion(dual, fields[0], fields[0])
     assert all(evaluate(e, Fraction(1)) == 0 for e in tt.values())
@@ -159,7 +158,7 @@ def test_metric_compatibility_pass_and_fail():
     ok, worst, _ = check_metric_compatibility(levi_civita(lam), pairs,
                                               pts("a", "b"), 1e-10)
     assert ok, worst
-    flat = Connection(lam, {"a": [[ZERO]], "b": [[ZERO]]}, "lambda1")
+    flat = Connection(lam, {"a": [[ZERO]], "b": [[ZERO]]})
     ok, worst, witness = check_metric_compatibility(flat, pairs,
                                                     pts("a", "b"), 1e-10)
     assert not ok and worst > 1e-3
@@ -167,7 +166,7 @@ def test_metric_compatibility_pass_and_fail():
 
 def test_metric_compatibility_trivial_zero_sections():
     lam = glued_lambda()
-    flat = Connection(lam, {"a": [[ZERO]], "b": [[ZERO]]}, "lambda1")
+    flat = Connection(lam, {"a": [[ZERO]], "b": [[ZERO]]})
     pairs = [({"a": ["0"], "b": ["0"]}, {"a": ["0"], "b": ["0"]})]
     ok, worst, _ = check_metric_compatibility(flat, pairs, pts("a", "b"))
     assert ok and worst == 0
@@ -186,8 +185,7 @@ def test_glued_connection_restricts_to_legs():
     lam = glued_lambda()
     lam1 = lambda1(line("a"), {"a": "exp(x)"})
     lam2 = lambda1(line("b"), {"b": "exp(-x)"})
-    glued = glue_connections(levi_civita(lam1), levi_civita(lam2), lam,
-                             "lambda1")
+    glued = glue_connections(levi_civita(lam1), levi_civita(lam2), lam)
     lc = levi_civita(lam)
     for c in ("a", "b"):
         for x in GRID:
@@ -201,8 +199,7 @@ def test_glued_connection_symmetric_and_compatible():
     lam = glued_lambda()
     lam1 = lambda1(line("a"), {"a": "exp(x)"})
     lam2 = lambda1(line("b"), {"b": "exp(-x)"})
-    glued = glue_connections(levi_civita(lam1), levi_civita(lam2), lam,
-                             "lambda1")
+    glued = glue_connections(levi_civita(lam1), levi_civita(lam2), lam)
     rng = random.Random(5)
     fields = [{c: rnd_poly(rng) for c in ("a", "b")} for _ in range(3)]
     assert is_symmetric_connection(dual_connection(glued), fields,
@@ -231,7 +228,7 @@ def test_generic_glue_value_pushes_fibre_maps():
     b1 = trivial_bundle(line("a"), {"a": standard_model(1)}, {"a": [["4"]]})
     b2 = trivial_bundle(line("b"), {"b": standard_model(1)}, {"b": [["1"]]})
     g = glue_bundles(b1, b2, [(("a", 0), ("b", 0))], [[2]])
-    conn = Connection(g, {"a": [[ZERO]], "b": [[ZERO]]}, "generic")
+    conn = Connection(g, {"a": [[ZERO]], "b": [[ZERO]]})
     s = {"a": ["x+1"], "b": ["2*x+2"]}
     val = connection_value_at(conn, s, ("a", 0))
     # branch a slot: f~ (s_a') = 2 * 1; branch b slot: s_b' = 2
@@ -242,7 +239,7 @@ def test_generic_glue_value_pushes_fibre_maps():
 def test_sum_and_tensor_connections():
     lam = lambda1(line("a"), {"a": "exp(x)"})
     lc = levi_civita(lam)
-    flat = Connection(lam, {"a": [[ZERO]]}, "lambda1")
+    flat = Connection(lam, {"a": [[ZERO]]})
     s = sum_connection(lc, flat)
     assert evaluate(s.gamma["a"][0][0], 1) == pytest.approx(0.5)
     assert s.gamma["a"][0][1] == ZERO and s.gamma["a"][1][0] == ZERO
@@ -263,6 +260,26 @@ def test_sum_and_tensor_connections():
 
 def test_flat_sum_flat_is_flat():
     lam = lambda1(line("a"), {"a": "1"})
-    flat = Connection(lam, {"a": [[ZERO]]}, "lambda1")
+    flat = Connection(lam, {"a": [[ZERO]]})
     s = sum_connection(flat, flat)
     assert all(e == ZERO for row in s.gamma["a"] for e in row)
+
+
+def test_tensor_connection_is_kron_sum():
+    # Gamma1 kron I + I kron Gamma2, entry (i k, j l), for full 2x2 matrices
+    lam = lambda1(line("a"), {"a": "1"})
+    g1 = [[as_expr(e) for e in row] for row in [["x", "1"], ["x^2", "-2"]]]
+    g2 = [[as_expr(e) for e in row] for row in [["3", "exp(x)"], ["x+1", "x"]]]
+    t = tensor_connection(Connection(lam, {"a": g1}),
+                          Connection(lam, {"a": g2}))
+    gamma = t.gamma["a"]
+    assert len(gamma) == 4 and all(len(row) == 4 for row in gamma)
+    for x in (Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(3)):
+        for i in range(2):
+            for k in range(2):
+                for j in range(2):
+                    for l in range(2):
+                        want = ((evaluate(g1[i][j], x) if k == l else 0)
+                                + (evaluate(g2[k][l], x) if i == j else 0))
+                        got = evaluate(gamma[2 * i + k][2 * j + l], x)
+                        assert got == want, (x, i, k, j, l)

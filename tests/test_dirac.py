@@ -112,7 +112,7 @@ def test_clifford_connection_leibniz_pass_and_flat_fail():
                                           1e-9)
     assert ok, worst
     flat = Connection(m.bundle, {c: [[ZERO, ZERO], [ZERO, ZERO]]
-                                 for c in ("a", "b")}, "generic")
+                                 for c in ("a", "b")})
     ok, worst = check_clifford_connection(m, flat, lam_lc, batteries, pts,
                                           1e-9)
     assert not ok and worst > 1.0
@@ -120,15 +120,14 @@ def test_clifford_connection_leibniz_pass_and_flat_fail():
 
 def test_unitarity():
     m = wedge_module()
-    ok, worst = check_unitarity(m, {c: GRID for c in ("a", "b")}, glue=True,
+    ok, worst = check_unitarity(m, {c: GRID for c in ("a", "b")},
                                 tol=1e-9)
     assert ok, worst
 
 
 def test_apply_dirac_flat_unit_metric():
     m = single_chart_module(leg("a", "1"))
-    flat = Connection(m.bundle, {"a": [[ZERO, ZERO], [ZERO, ZERO]]},
-                      "generic")
+    flat = Connection(m.bundle, {"a": [[ZERO, ZERO], [ZERO, ZERO]]})
     d = dirac(m, flat)
     # D(u + w dx) = -h w' + u' dx
     out = apply_dirac_chart(d, {"a": ["x", "0"]}, "a")
@@ -142,8 +141,7 @@ def test_apply_dirac_flat_unit_metric():
 def test_dirac_squares_against_laplacian_flat_case():
     # with h = 1 and zero connection, D^2 = -d^2/dx^2 on both slots
     m = single_chart_module(leg("a", "1"))
-    flat = Connection(m.bundle, {"a": [[ZERO, ZERO], [ZERO, ZERO]]},
-                      "generic")
+    flat = Connection(m.bundle, {"a": [[ZERO, ZERO], [ZERO, ZERO]]})
     d = dirac(m, flat)
     s = {"a": ["x^3", "cos(x)"]}
     once = apply_dirac(d, s)

@@ -218,3 +218,22 @@ def test_is_psd_against_sympy():
     for m, want in mats:
         assert is_psd(frac_matrix(m)) is want
         assert sympy.Matrix(m).is_positive_semidefinite is want
+
+
+def test_map_compatibility_exact_on_rationals_tolerant_on_floats():
+    m = standard_model(1)
+    # a float metric value within 1e-12 of its rational counterpart
+    assert check_map_compatibility(m, [[5 / 3]], m, [[Fraction(5, 3)]],
+                                   [[1]]).compatible
+    assert not check_map_compatibility(m, [[5 / 3 + 1e-9]], m,
+                                       [[Fraction(5, 3)]], [[1]]).compatible
+    # rational input stays exact, however small the difference
+    near = Fraction(5, 3) + Fraction(1, 10**20)
+    assert not check_map_compatibility(m, [[near]], m, [[Fraction(5, 3)]],
+                                       [[1]]).compatible
+
+
+def test_dual_metric_of_all_nonsmooth_fibre_is_empty():
+    m = DvsModel(2, ((1, 0), (0, 1)))
+    assert dual_space(m) == []
+    assert dual_metric(m, [[0, 0], [0, 0]]) == []
