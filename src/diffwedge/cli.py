@@ -25,8 +25,9 @@ from .dirac import check_action_compatibility, check_algebra_morphism, \
     check_clifford_connection, check_unitarity, clifford_connection, dirac, \
     dirac_value_at, exterior_module, verify_splitting
 from .dvspace import DvsModel, dual_space, dual_metric, is_pseudo_metric, \
-    pairing_map, smooth_form_basis, apply_form
+    pairing_map, smooth_form_basis
 from .forms import dual_metric_identity_check, lambda1
+from .linalg import mat_mul, transpose, zeros
 from .wedge import Chart, WedgeComplex
 
 
@@ -197,18 +198,35 @@ def _points_per_chart(cfg):
     return pts
 
 
+def _chart_index(cfg, cid):
+    return [c["id"] for c in cfg["charts"]].index(cid)
+
+
+def _h_at(cfg, cid, x):
+    """h of chart ``cid`` at x; a zero divisor there is a config error."""
+    i = _chart_index(cfg, cid)
+    try:
+        return symexpr.evaluate(cfg["charts"][i]["h"], x)
+    except ZeroDivisionError as exc:
+        raise ConfigError(f"/charts/{i}/h: {exc}")
+
+
 def _build_module(cfg):
     """Exterior module over the configured wedge (single gluing supported)."""
     if len(cfg["gluings"]) != 1:
         raise ConfigError("exactly one gluing is supported for the glued suites")
     g = cfg["gluings"][0]
+    glued = {g["from"][0], g["to"][0]}
+    for i, c in enumerate(cfg["charts"]):
+        if c["id"] not in glued:
+            raise ConfigError(f"/charts/{i}: not in the gluing")
     lams = []
     for cid, _ in (g["from"], g["to"]):
-        i = [c["id"] for c in cfg["charts"]].index(cid)
+        i = _chart_index(cfg, cid)
         try:
             lams.append(lambda1(WedgeComplex((Chart(cid),)),
                                 {cid: cfg["charts"][i]["h"]}))
-        except ValueError as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"/charts/{i}/h: {exc}")
     return exterior_module(*lams, [(g["from"], g["to"])], g["scale"])
 
@@ -245,8 +263,8 @@ def _glued_suite(cfg, seed, tol):
     a = g["scale"]
     h = {c["id"]: c["h"] for c in cfg["charts"]}
 
-    h1 = symexpr.evaluate(h[c1], x1)
-    h2 = symexpr.evaluate(h[c2], x2)
+    h1 = _h_at(cfg, c1, x1)
+    h2 = _h_at(cfg, c2, x2)
     gate = abs(float(h1 - a * a * h2)) <= 1e-12
     verdicts.append(_verdict(
         "metric-glue-compatibility", gate,
@@ -351,11 +369,13 @@ def _fibre_suite(cfg):
         if v.ok:
             b = dual_metric(model, metric)
             values["dual_metric"] = b
-            # the defining identity, checked on basis pairs
+            # the defining identity B(phi(e_i), phi(e_j)) = g(e_i, e_j) on
+            # basis pairs, as Phi B Phi^T = g with rows phi(e_i) of Phi
             n = model.dim
             phi = [pairing_map(model, metric, _unit(n, i)) for i in range(n)]
-            ok = all(apply_form(b, phi[i], phi[j]) == Fraction(metric[i][j])
-                     for i in range(n) for j in range(n))
+            pulled = (mat_mul(phi, mat_mul(b, transpose(phi))) if b
+                      else zeros(n, n))     # a 0-dimensional dual
+            ok = pulled == metric
             verdicts.append(_verdict("dual-metric-defining-identity", ok))
             values["note"] = (
                 "the dual matrix is forced by the identity "

@@ -192,10 +192,10 @@ def filtration_degree(a):
 
 def multiplication_table(alg):
     """All blade products as {(name_a, name_b): multivector-as-name-map}."""
+    names = [alg.blade_name(mask) for mask in range(alg.dim)]
     table = {}
-    for sa in range(alg.dim):
-        for sb in range(alg.dim):
+    for sa, name_a in enumerate(names):
+        for sb, name_b in enumerate(names):
             mask, coeff = blade_mul(sa, sb, alg.diag)
-            table[(alg.blade_name(sa), alg.blade_name(sb))] = {
-                alg.blade_name(mask): coeff}
+            table[(name_a, name_b)] = {names[mask]: coeff}
     return table

@@ -188,7 +188,7 @@ def dual_metric(model, a):
         return []       # K is everything: the dual is 0-dimensional
     # columns: coordinates of phi(v0_i) in the dual basis
     p = transpose([pairing_map(model, a, v) for v in v0])
-    g = [[apply_form(a, v0[i], v0[j]) for j in range(d)] for i in range(d)]
+    g = mat_mul(v0, mat_mul(a, transpose(v0)))
     p_inv = inverse(p)
     return mat_mul(transpose(p_inv), mat_mul(g, p_inv))
 

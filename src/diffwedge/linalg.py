@@ -148,43 +148,57 @@ def congruent_diagonal(a):
     Returns (p, d) with p a basis-change matrix whose columns are
     q-orthogonal, i.e. p^T a p = diag(d).  Zero directions are kept
     (their diagonal entry is 0), so this works for degenerate forms.
+
+    Symmetric elimination on the Gram matrix G = P^T a P of the basis
+    vectors not yet taken, O(n^3).  The pivot is the first remaining
+    vector v with G[v][v] != 0.  If every G[v][v] is 0, the first pair
+    i < j with G[i][j] != 0 becomes one by replacing vector i with the
+    sum of the two; if there is no such pair, the remaining vectors are
+    in the kernel and are appended with diagonal 0.  Taking pivot v with
+    d = G[v][v] makes each remaining w q-orthogonal to v, by
+    w -= (G[v][w] / d) v, and leaves G as the Schur complement of d.
     """
     n = len(a)
-    basis = [identity(n)[i] for i in range(n)]  # column vectors
-    diag = []
+    remaining = identity(n)         # the basis vectors, columns of p
+    g = [[Fraction(x) for x in row] for row in a]
     done = []
-    remaining = list(basis)
-    a_form = lambda u, v: sum(u[i] * a[i][j] * v[j] for i in range(n) for j in range(n))
+    diag = []
     while remaining:
-        # prefer a vector with nonzero self-pairing as the next pivot
-        idx = next((k for k, v in enumerate(remaining) if a_form(v, v) != 0), None)
+        m = len(remaining)
+        idx = next((k for k in range(m) if g[k][k] != 0), None)
         if idx is None:
-            # try to create one: if a_form(u, w) != 0 for some pair, u+w works
-            pair = None
-            for i in range(len(remaining)):
-                for j in range(i + 1, len(remaining)):
-                    if a_form(remaining[i], remaining[j]) != 0:
-                        pair = (i, j)
-                        break
-                if pair:
-                    break
+            pair = next(((i, j) for i in range(m) for j in range(i + 1, m)
+                         if g[i][j] != 0), None)
             if pair is None:
-                # all remaining vectors are in the kernel of the form
-                for v in remaining:
-                    done.append(v)
-                    diag.append(Fraction(0))
+                done += remaining
+                diag += [Fraction(0)] * m
                 break
             i, j = pair
             remaining[i] = [x + y for x, y in zip(remaining[i], remaining[j])]
+            # only row i is read again: vector i is the pivot taken next
+            row = [x + y for x, y in zip(g[i], g[j])]
+            row[i] = g[i][i] + 2 * g[i][j] + g[j][j]
+            g[i] = row
             idx = i
         v = remaining.pop(idx)
-        d = a_form(v, v)
+        row = g.pop(idx)
+        d = row.pop(idx)
         done.append(v)
         diag.append(d)
-        remaining = [
-            [wi - (a_form(v, w) / d) * vi for wi, vi in zip(w, v)]
-            for w in remaining
-        ]
+        for gk in g:
+            gk.pop(idx)
+        # zero entries of v and of row leave the updates below unchanged
+        support = [t for t, x in enumerate(v) if x != 0]
+        cols = [k for k, x in enumerate(row) if x != 0]
+        for at, k in enumerate(cols):
+            f = row[k] / d
+            w = remaining[k]
+            for t in support:
+                w[t] -= f * v[t]
+            gk = g[k]
+            for t in cols[at:]:
+                gk[t] -= f * row[t]
+                g[t][k] = gk[t]
     p = transpose(done)
     return p, diag
 

@@ -81,10 +81,19 @@ GLUED = {"charts": [{"id": "a"}, {"id": "b"}],
      "/dirac/sections"),
     ("check", {"charts": [{"id": "a", "h": "x"}, {"id": "b", "h": "1"}],
                "gluings": [{"points": [["a", 1], ["b", 0]]}]}, "/charts/0/h"),
+    ("check", {"charts": [{"id": "a", "h": "1/x"}, {"id": "b", "h": "1"}],
+               "gluings": [{"points": [["a", 0], ["b", 0]], "scale": 1}]},
+     "/charts/0/h"),
+    ("check", {"charts": [{"id": "a", "h": "1/(x-1)^2"}, {"id": "b", "h": "1"}],
+               "gluings": [{"points": [["a", 0], ["b", 0]], "scale": 1}]},
+     "/charts/0/h"),
+    ("check", {"charts": [{"id": "a"}, {"id": "b"}, {"id": "c"}],
+               "gluings": [{"points": [["a", 0], ["b", 0]]}]}, "/charts/2"),
 ], ids=["tol", "glue-point", "nested-parentheses", "long-sum",
         "one-component-section", "point-section-lacks", "point-unknown-chart",
         "charts-object", "gluings-object", "sections-object",
-        "h-not-positive"])
+        "h-not-positive", "h-zero-divisor-at-glue-point",
+        "h-zero-divisor-on-sample-grid", "chart-outside-gluing"])
 def test_malformed_values_exit_two(tmp_path, capsys, command, data, pointer):
     assert main([command, write_cfg(tmp_path, data)]) == 2
     assert pointer in capsys.readouterr().err

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from diffwedge.dvspace import (DvsModel, apply_form, characteristic_subspace,
                                check_dual_compatibility,
@@ -210,6 +210,77 @@ def test_congruent_diagonal_property():
         n = len(a)
         assert lhs == [[d[i] if i == j else Fraction(0) for j in range(n)]
                        for i in range(n)]
+
+
+def _congruent_diagonal_by_forms(a):
+    """The O(n^4) congruent_diagonal the Gram elimination replaced: it
+    re-evaluates the form on every pair of remaining vectors.  Same pivot
+    rule, so it must give the same (p, diag) entry for entry."""
+    n = len(a)
+    diag = []
+    done = []
+    remaining = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    a_form = lambda u, v: sum(u[i] * a[i][j] * v[j] for i in range(n) for j in range(n))
+    while remaining:
+        idx = next((k for k, v in enumerate(remaining) if a_form(v, v) != 0), None)
+        if idx is None:
+            pair = None
+            for i in range(len(remaining)):
+                for j in range(i + 1, len(remaining)):
+                    if a_form(remaining[i], remaining[j]) != 0:
+                        pair = (i, j)
+                        break
+                if pair:
+                    break
+            if pair is None:
+                for v in remaining:
+                    done.append(v)
+                    diag.append(Fraction(0))
+                break
+            i, j = pair
+            remaining[i] = [x + y for x, y in zip(remaining[i], remaining[j])]
+            idx = i
+        v = remaining.pop(idx)
+        d = a_form(v, v)
+        done.append(v)
+        diag.append(d)
+        remaining = [
+            [wi - (a_form(v, w) / d) * vi for wi, vi in zip(w, v)]
+            for w in remaining
+        ]
+    return transpose(done), diag
+
+
+@st.composite
+def _symmetric(draw):
+    """Symmetric rational matrices, n <= 7: of low-rank Gram form B^T B
+    (pivots that skip kernel directions), or with a zero or mostly-zero
+    diagonal (the pair and all-kernel branches)."""
+    n = draw(st.integers(1, 7))
+    small = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 4)])
+    family = draw(st.sampled_from(["gram", "zero-diagonal", "sparse-diagonal"]))
+    if family == "gram":
+        b = [[draw(small) for _ in range(n)] for _ in range(draw(st.integers(0, n)))]
+        return mat_mul(transpose(b), b) if b else frac_matrix([[0] * n] * n)
+    diagonal = st.sampled_from([0] if family == "zero-diagonal"
+                               else [0, 0, 0, 0, 1, -2])
+    a = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        a[i][i] = Fraction(draw(diagonal))
+        for j in range(i + 1, n):
+            a[i][j] = a[j][i] = Fraction(draw(small))
+    return a
+
+
+@given(_symmetric())
+@example(frac_matrix([[0, 1], [1, 0]]))
+@example(frac_matrix([[0, 0, 1], [0, 0, 0], [1, 0, 0]]))
+def test_congruent_diagonal_matches_the_form_oracle(a):
+    p, d = congruent_diagonal(a)
+    assert (p, d) == _congruent_diagonal_by_forms(a)
+    n = len(a)
+    assert mat_mul(transpose(p), mat_mul(a, p)) == [
+        [d[i] if i == j else Fraction(0) for j in range(n)] for i in range(n)]
 
 
 def test_is_psd_against_sympy():

@@ -10,6 +10,7 @@ regenerate the table with the loop in ``_report`` and say why.
 import contextlib
 import hashlib
 import io
+import json
 import os
 
 import pytest
@@ -36,6 +37,39 @@ GOLDEN = [
 ]
 
 
+# Fibre-only configs written inline, pinned at the O(n^4) congruent_diagonal
+# that the Gram-matrix elimination replaced: (id, command, fibre, exit
+# code, sha256 of stdout).  FIBRE_10 is perfbench.workloads.fibre_config(
+# random.Random(10), 10, 2).  A pseudo-metric is PSD, so its Schur
+# complements never need the pair pivot; the indefinite zero-diagonal
+# metric reaches it through is_psd, and fails the pseudo-metric verdict.
+FIBRE_10 = {
+    "dim": 10,
+    "nonsmooth": [[0, 0, 1, 0, 0, -1, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, -1, 0, 1]],
+    "metric": [[89, -44, 44, 20, -10, 44, -10, 32, -1, 32],
+               [-44, 27, -22, -10, 2, -22, 5, -16, 0, -16],
+               [44, -22, 22, 10, -5, 22, -5, 16, 0, 16],
+               [20, -10, 10, 5, -2, 10, -2, 7, 0, 7],
+               [-10, 2, -5, -2, 6, -5, 3, -5, 0, -5],
+               [44, -22, 22, 10, -5, 22, -5, 16, 0, 16],
+               [-10, 5, -5, -2, 3, -5, 3, -5, 0, -5],
+               [32, -16, 16, 7, -5, 16, -5, 13, 0, 13],
+               [-1, 0, 0, 0, 0, 0, 0, 0, 2, 0],
+               [32, -16, 16, 7, -5, 16, -5, 13, 0, 13]]}
+INLINE = [
+    ("dual-metric-dim10", "dual-metric", FIBRE_10, 0,
+     "bac3a97f62851168e7cfcdc59e145c9fc3a4f59548dd926eee1be05e664a4b53"),
+    # the zero-diagonal direction e1 is skipped as a pivot and comes last
+    ("clifford-table-kernel-first", "clifford-table",
+     {"dim": 4, "nonsmooth": [[1, 0, 0, 0]],
+      "metric": [[0, 0, 0, 0], [0, 2, 1, 0], [0, 1, 1, 0], [0, 0, 0, 3]]}, 0,
+     "e9c8eb7a689c9cd3c4efbdea98e9741bd17d3b69dbd9e588bad0172be72b59a4"),
+    ("check-pair-pivot", "check",
+     {"dim": 3, "metric": [[0, 1, 0], [1, 0, 2], [0, 2, 0]]}, 1,
+     "f800533ff873ada78fac393cb7b245d4629d90143c392554f57ccbfe87d5b341"),
+]
+
+
 def _report(command, config, seed):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -48,3 +82,16 @@ def _report(command, config, seed):
                          ids=[f"{c}-{f}-{s}" for c, f, s, _, _ in GOLDEN])
 def test_report_bytes_are_pinned(command, config, seed, code, digest):
     assert _report(command, config, seed) == (code, digest)
+
+
+@pytest.mark.parametrize("command,fibre,code,digest",
+                         [row[1:] for row in INLINE],
+                         ids=[row[0] for row in INLINE])
+def test_fibre_report_bytes_are_pinned(tmp_path, command, fibre, code, digest):
+    path = tmp_path / "fibre.json"
+    path.write_text(json.dumps({"fibre": fibre}))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        got = main([command, str(path)])
+    assert (got, hashlib.sha256(out.getvalue().encode()).hexdigest()) == (
+        code, digest)

@@ -172,16 +172,23 @@ def _unary(e, kind):
     return Pow(e, kind) if isinstance(kind, int) else kind(e)
 
 
-rich = st.deferred(lambda: st.one_of(
-    st.fractions(-3, 3, max_denominator=4).map(Const),
-    st.just(X),
-    st.tuples(rich, st.sampled_from([-3, -1, 0, 2, 3, Neg, Exp, Sin, Cos]))
-      .map(lambda t: _unary(*t)),
-    st.tuples(rich, rich, st.sampled_from([Add, Mul, Div])).map(lambda t: t[2](t[0], t[1])),
-    # shared subtrees: one object used twice, and an equal copy of it
-    st.tuples(rich, st.sampled_from([Add, Mul, Div])).map(lambda t: t[1](t[0], t[0])),
-    st.tuples(rich, st.sampled_from([Add, Mul, Div])).map(lambda t: t[1](t[0], _copy(t[0]))),
-))
+# Each shared-subtree level doubles the tree that _copy builds and the
+# uncached passes walk, so the depth is bounded: with max_leaves=64,
+# hypothesis nests extend at most log2(64) + 1 times, so a tree has at
+# most eight levels and 255 nodes.  Unbounded, a 20-level DAG expanded
+# to 28681 nodes, whose fresh differentiate alone took 0.5 s and broke
+# the 200 ms deadline; the cost is linear in the expanded tree.
+rich = st.recursive(
+    st.one_of(st.fractions(-3, 3, max_denominator=4).map(Const), st.just(X)),
+    lambda sub: st.one_of(
+        st.tuples(sub, st.sampled_from([-3, -1, 0, 2, 3, Neg, Exp, Sin, Cos]))
+          .map(lambda t: _unary(*t)),
+        st.tuples(sub, sub, st.sampled_from([Add, Mul, Div])).map(lambda t: t[2](t[0], t[1])),
+        # shared subtrees: one object used twice, and an equal copy of it
+        st.tuples(sub, st.sampled_from([Add, Mul, Div])).map(lambda t: t[1](t[0], t[0])),
+        st.tuples(sub, st.sampled_from([Add, Mul, Div])).map(lambda t: t[1](t[0], _copy(t[0]))),
+    ),
+    max_leaves=64)
 points = st.one_of(st.fractions(-3, 3, max_denominator=5), st.integers(-3, 3),
                    st.floats(-3, 3, allow_nan=False))
 
