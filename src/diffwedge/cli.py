@@ -182,6 +182,11 @@ def _verdict(name, ok, **extra):
     return v
 
 
+def _metric_verdict(v):
+    """The report entry of an ``is_pseudo_metric`` verdict."""
+    return _verdict("pseudo-metric", v.ok, reason=v.reason, rank=v.rank)
+
+
 # ---------------------------------------------------------------------------
 # geometry assembly from a config
 
@@ -209,6 +214,16 @@ def _h_at(cfg, cid, x):
         return symexpr.evaluate(cfg["charts"][i]["h"], x)
     except ZeroDivisionError as exc:
         raise ConfigError(f"/charts/{i}/h: {exc}")
+
+
+def _check_h_on(cfg, points):
+    """h is defined and positive at each (chart id, x) of ``points``; a
+    zero divisor or a value <= 0 is a config error."""
+    for cid, x in dict.fromkeys(points):
+        if _h_at(cfg, cid, x) <= 0:
+            raise ConfigError(f"/charts/{_chart_index(cfg, cid)}/h: metric "
+                              f"coefficient on chart {cid!r} is not positive "
+                              f"at {x}")
 
 
 def _build_module(cfg):
@@ -262,6 +277,9 @@ def _glued_suite(cfg, seed, tol):
     (c1, x1), (c2, x2) = g["from"], g["to"]
     a = g["scale"]
     h = {c["id"]: c["h"] for c in cfg["charts"]}
+    eval_points = [(c1, Fraction(i, 3)) for i in range(-6, 7) if i != 0]
+    eval_points += [(c2, Fraction(i, 3)) for i in range(1, 7)]
+    eval_points.append(g["from"])
 
     h1 = _h_at(cfg, c1, x1)
     h2 = _h_at(cfg, c2, x2)
@@ -273,6 +291,9 @@ def _glued_suite(cfg, seed, tol):
     if not gate:
         return verdicts, None
 
+    # every point where a checker below samples h
+    _check_h_on(cfg, [(cid, x) for cid, xs in pts.items() for x in xs]
+                + eval_points)
     module = _build_module(cfg)
     ok, witness = check_action_compatibility(module)
     verdicts.append(_verdict("action-equivariance", ok, witness=witness))
@@ -341,9 +362,6 @@ def _glued_suite(cfg, seed, tol):
     verdicts.append(_verdict("unitarity", ok, residual=worst))
 
     d = dirac(module)
-    eval_points = [(c1, Fraction(i, 3)) for i in range(-6, 7) if i != 0]
-    eval_points += [(c2, Fraction(i, 3)) for i in range(1, 7)]
-    eval_points.append(g["from"])
     for _ in range(5):
         s1, s2 = _compatible_sections(module, cfg, rng)
         ok, worst = verify_splitting(d, s1, s2, eval_points, tol)
@@ -364,8 +382,7 @@ def _fibre_suite(cfg):
     metric = cfg["fibre"]["metric"]
     if metric is not None:
         v = is_pseudo_metric(model, metric)
-        verdicts.append(_verdict("pseudo-metric", v.ok, reason=v.reason,
-                                 rank=v.rank))
+        verdicts.append(_metric_verdict(v))
         if v.ok:
             b = dual_metric(model, metric)
             values["dual_metric"] = b
@@ -411,11 +428,18 @@ def run(command, cfg, seed=0, tol=None):
         elif command == "dual-metric":
             raise ConfigError("dual-metric needs a fibre block")
     if command in ("clifford-table", "report"):
-        if cfg["fibre"] is not None and cfg["fibre"]["metric"] is not None:
-            alg = build_algebra(cfg["fibre"]["model"], cfg["fibre"]["metric"])
-            table = multiplication_table(alg)
-            report["values"]["clifford_table"] = {
-                f"{a} . {b}": v for (a, b), v in table.items()}
+        fibre = cfg["fibre"]
+        if fibre is not None and fibre["metric"] is not None:
+            try:
+                alg = build_algebra(fibre["model"], fibre["metric"])
+            except ValueError:      # not a pseudo-metric: no table
+                if command == "clifford-table":     # report's fibre suite says so
+                    report["verdicts"].append(_metric_verdict(
+                        is_pseudo_metric(fibre["model"], fibre["metric"])))
+            else:
+                table = multiplication_table(alg)
+                report["values"]["clifford_table"] = {
+                    f"{a} . {b}": v for (a, b), v in table.items()}
         elif command == "clifford-table":
             raise ConfigError("clifford-table needs a fibre block with a metric")
     if command in ("dirac", "report"):

@@ -10,7 +10,7 @@ the glue point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .symexpr import ZERO, ONE, max_residual, simplify
@@ -245,6 +245,9 @@ def check_clifford_connection(module, conn_e, lam_conn, batteries, points,
 class DiracOperator:
     module: CliffordModule
     connection: Connection
+    # D s on one chart, built once per section: see _dirac_chart
+    _charts: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
 
 def dirac(module, conn_e=None):
@@ -279,11 +282,26 @@ def dirac_value_at(d, comps, p):
     base = d.module.bundle.base
     i = base.class_of(p)
     if i is None:
-        return eval_vector(apply_dirac_chart(d, comps, p[0]), p[1])
+        return eval_vector(_dirac_chart(d, comps, p[0]), p[1])
     nabla = connection_value_at(d.connection, comps, p)
     rep = d.module.bundle.rep_point(i)
     # c~ = action of the representative branch on its slot of the value
     return mat_vec(d.module.action_matrix(rep[0], rep[1], 1), nabla[rep])
+
+
+def _dirac_chart(d, comps, cid):
+    """``apply_dirac_chart(d, comps, cid)``, built once per section.
+
+    The value is cached on ``d`` under the chart and the identities of the
+    section's components.  The entry holds the components themselves, so
+    no other object can take one of their identities while it lives.
+    """
+    s = comps[cid]
+    key = (cid, *map(id, s))
+    hit = d._charts.get(key)
+    if hit is None:
+        hit = d._charts[key] = (tuple(s), apply_dirac_chart(d, comps, cid))
+    return hit[1]
 
 
 def glue_dirac(d1, d2, module):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from math import gcd
 
 
 class Expr:
@@ -334,137 +335,177 @@ def evaluate(e, x):
     Returns a ``Fraction`` when the result is exact (rational input, no
     transcendental nodes on the evaluated path), otherwise a float.
 
+    Exact values are carried as unreduced ``(numerator, denominator)``
+    pairs of ints, and one ``Fraction`` is built from the result.  A pair
+    meets a float the way a ``Fraction`` does, as ``n / d``, so float
+    results equal those of ``Fraction`` arithmetic to the bit.
+
     The first evaluation of a node walks its tree; later ones run a tape
     compiled once for the node, which computes each structurally distinct
     subtree once, with the walk's operations in the walk's order.
     """
+    v = (x.numerator, x.denominator) if isinstance(x, (int, Fraction)) else x
     tape = e._tape
-    if tape is None:
-        if e.children:
-            e._tape = False
-        return _walk(e, x)
-    if tape is False:
-        tape = e._tape = _compile(e)
-    return _run(tape, x)
+    try:
+        if tape is None:
+            if e.children:
+                e._tape = False
+            v = _walk(e, v)
+        else:
+            if tape is False:
+                tape = e._tape = _compile(e)
+            v = _run(tape, v)
+    except ZeroDivisionError as exc:
+        raise ZeroDivisionError(f"{exc} at x={x}") from None
+    return Fraction(*v) if type(v) is tuple else v
+
+
+# Values: an exact value is a pair (n, d) of ints with d != 0, neither
+# reduced nor sign-normalised; any other value is a float.  Each operation
+# takes two arguments: a unary one ignores its second, and a power's second
+# is its int exponent.  A zero divisor raises without the point, which
+# evaluate appends.
+
+def _float(a):
+    """A value as a float, as ``Fraction.__float__`` converts: n / d.
+
+    A zero over a negative d gives 0.0, not the -0.0 of 0 / d, as the
+    normalised ``Fraction`` would.
+    """
+    if type(a) is tuple:
+        return a[0] / a[1] if a[0] else 0.0
+    return a
+
+
+def _neg(a, _):
+    return (-a[0], a[1]) if type(a) is tuple else -a
+
+
+def _add(a, b):
+    if type(a) is tuple is type(b):
+        n, d = a
+        m, f = b
+        if d == f:
+            return n + m, d
+        g = gcd(d, f)                       # over lcm(d, f), up to sign
+        return n * (f // g) + m * (d // g), d // g * f
+    return _float(a) + _float(b)
+
+
+def _mul(a, b):
+    if type(a) is tuple is type(b):
+        return a[0] * b[0], a[1] * b[1]
+    return _float(a) * _float(b)
+
+
+def _div(a, b):
+    if (b[0] if type(b) is tuple else b) == 0:
+        raise ZeroDivisionError("division by zero")
+    if type(a) is tuple is type(b):
+        return a[0] * b[1], a[1] * b[0]
+    return _float(a) / _float(b)
+
+
+def _pow(a, k):
+    if type(a) is tuple:
+        n, d = a
+        if k >= 0:
+            return n ** k, d ** k
+        if n == 0:
+            raise ZeroDivisionError(f"zero raised to {k}")
+        return d ** -k, n ** -k
+    if k < 0 and a == 0:
+        raise ZeroDivisionError(f"zero raised to {k}")
+    return a ** k
+
+
+def _exp(a, _):
+    return math.exp(_float(a))
+
+
+def _sin(a, _):
+    return math.sin(_float(a))
+
+
+def _cos(a, _):
+    return math.cos(_float(a))
+
+
+_OPS = {Neg: _neg, Add: _add, Mul: _mul, Div: _div, Pow: _pow, Exp: _exp,
+        Sin: _sin, Cos: _cos}
 
 
 def _walk(e, x):
-    """Reference evaluation by recursion over the tree."""
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        return Fraction(x) if isinstance(x, (int, Fraction)) else x
-    if isinstance(e, Neg):
-        return -_walk(e.children[0], x)
-    if isinstance(e, Add):
-        return _walk(e.children[0], x) + _walk(e.children[1], x)
-    if isinstance(e, Mul):
-        return _walk(e.children[0], x) * _walk(e.children[1], x)
-    if isinstance(e, Div):
-        num = _walk(e.children[0], x)
-        den = _walk(e.children[1], x)
-        if den == 0:
-            raise ZeroDivisionError(f"division by zero at x={x}")
-        return num / den
-    if isinstance(e, Pow):
-        base = _walk(e.children[0], x)
-        if e.exponent < 0 and base == 0:
-            raise ZeroDivisionError(f"zero raised to {e.exponent} at x={x}")
-        return base ** e.exponent
-    arg = _walk(e.children[0], x)
-    if isinstance(e, Exp):
-        return math.exp(arg)
-    if isinstance(e, Sin):
-        return math.sin(arg)
-    if isinstance(e, Cos):
-        return math.cos(arg)
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-_OPCODES = {Mul: 0, Add: 1, Neg: 2, Div: 3, Pow: 4, Exp: 5, Sin: 6, Cos: 7}
+    """Value of ``e`` at the value ``x`` by recursion over the tree."""
+    kids = e.children
+    if not kids:
+        return e.value.as_integer_ratio() if type(e) is Const else x
+    a = _walk(kids[0], x)
+    if type(e) is Pow:
+        return _pow(a, e.exponent)
+    return _OPS[type(e)](a, _walk(kids[1], x) if len(kids) == 2 else None)
 
 
 def _compile(e):
     """Tape of ``e``: (registers, register of x or None, instructions).
 
-    The registers start as the distinct constants and a slot for x.  Each
-    instruction ``(opcode, a, b)`` appends the value of one structurally
-    distinct composite subtree, computed from registers a and b (b is the
-    exponent of a power), in the order of first occurrence in the walk's
-    children-first traversal, so the last register holds e.  A walk that
-    raises at a subtree raises at its first occurrence, and no earlier
-    subtree raises, so the tape raises at the same subtree.
+    The registers start as the distinct constants, the distinct exponents
+    and a slot for x.  Each instruction ``(operation, a, b)`` appends the
+    value of one structurally distinct composite subtree, computed from
+    registers a and b (b = a for a unary operation), in the order of first
+    occurrence in the walk's children-first traversal, so the last
+    register holds e.  A walk that raises at a subtree raises at its first
+    occurrence, and no earlier subtree raises, so the tape raises at the
+    same subtree.
     """
-    order, seen, stack = [], set(), [(e, False)]
-    while stack:                       # children-first, each object once
-        n, done = stack.pop()
-        if done:
-            order.append(n)
-        elif id(n) not in seen:
-            seen.add(id(n))
-            stack.append((n, True))
-            stack.extend((c, False) for c in reversed(n.children))
-    number = {}        # id(node) -> value number
-    classes = {}       # structural key -> value number
-    entries = []       # value number -> (opcode or None, a, b)
-    for n in order:
-        kids = n.children
-        if not kids:
-            key = (None, n.value if isinstance(n, Const) else None, None)
-        else:
-            op = _OPCODES[type(n)]
-            a = number[id(kids[0])]
-            key = (op, a, n.exponent if op == 4 else number[id(kids[-1])])
-        v = classes.get(key)
-        if v is None:
-            v = classes[key] = len(entries)
-            entries.append(key)
-        number[id(n)] = v
-    registers, var, reg = [], None, {}
-    for v, (op, value, _) in enumerate(entries):
-        if op is None:
-            reg[v] = len(registers)
-            if value is None:
-                var = reg[v]
+    registers, code = [], []
+    leaves = {}        # leaf value -> register
+    classes = {}       # structural key -> ~(index of its instruction)
+    memo = {}          # id(node) -> register, or ~instruction index
+
+    def leaf(value):
+        r = leaves.get(value)
+        if r is None:
+            r = leaves[value] = len(registers)
             registers.append(value)
-    code = []
-    for v, (op, a, b) in enumerate(entries):
-        if op is not None:
-            reg[v] = len(registers) + len(code)
-            code.append((op, reg[a], b if op == 4 else reg[b]))
-    return registers, var, code
+        return r
+
+    def visit(n):
+        r = memo.get(id(n))
+        if r is None:
+            kids = n.children
+            if not kids:
+                r = leaf(n.value.as_integer_ratio() if type(n) is Const else None)
+            else:
+                op = _OPS[type(n)]
+                a = visit(kids[0])
+                key = (op, a, leaf(n.exponent) if op is _pow else visit(kids[-1]))
+                r = classes.get(key)
+                if r is None:
+                    r = classes[key] = ~len(code)
+                    code.append(key)
+            memo[id(n)] = r
+        return r
+
+    try:
+        visit(e)
+    finally:
+        del visit          # it refers to itself through its closure cell
+    top = len(registers)     # instruction j appends register top + j
+    code = [(op, a if a >= 0 else top + ~a, b if b >= 0 else top + ~b)
+            for op, a, b in code]
+    return registers, leaves.get(None), code
 
 
 def _run(tape, x):
-    """Evaluate a compiled tape at ``x``; see ``_compile``."""
+    """Value of a compiled tape at the value ``x``; see ``_compile``."""
     registers, var, code = tape
     r = registers[:]
     if var is not None:
-        r[var] = Fraction(x) if isinstance(x, (int, Fraction)) else x
+        r[var] = x
     push = r.append
     for op, a, b in code:
-        if op == 0:
-            push(r[a] * r[b])
-        elif op == 1:
-            push(r[a] + r[b])
-        elif op == 2:
-            push(-r[a])
-        elif op == 3:
-            den = r[b]
-            if den == 0:
-                raise ZeroDivisionError(f"division by zero at x={x}")
-            push(r[a] / den)
-        elif op == 4:
-            base = r[a]
-            if b < 0 and base == 0:
-                raise ZeroDivisionError(f"zero raised to {b} at x={x}")
-            push(base ** b)
-        elif op == 5:
-            push(math.exp(r[a]))
-        elif op == 6:
-            push(math.sin(r[a]))
-        else:
-            push(math.cos(r[a]))
+        push(op(r[a], r[b]))
     return r[-1]
 
 

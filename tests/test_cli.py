@@ -1,8 +1,10 @@
 import json
 import os
+from collections import Counter
 
 import pytest
 
+from diffwedge.bundle import eval_vector
 from diffwedge.cli import ConfigError, load_config, main, render_report, run
 
 HERE = os.path.dirname(__file__)
@@ -89,11 +91,24 @@ GLUED = {"charts": [{"id": "a"}, {"id": "b"}],
      "/charts/0/h"),
     ("check", {"charts": [{"id": "a"}, {"id": "b"}, {"id": "c"}],
                "gluings": [{"points": [["a", 0], ["b", 0]]}]}, "/charts/2"),
+    # h is bad at x = 1/5, on the checkers' grid but not on lambda1's
+    ("check", {"charts": [{"id": "a", "h": "1/(x-1/5)^2"}, {"id": "b", "h": "1"}],
+               "gluings": [{"points": [["a", 0], ["b", 0]], "scale": 5}]},
+     "/charts/0/h"),
+    ("check", {"charts": [{"id": "a", "h": "(x-1/5)^2+0*x"}, {"id": "b", "h": "1"}],
+               "gluings": [{"points": [["a", 0], ["b", 0]], "scale": "1/5"}]},
+     "/charts/0/h"),
+    # ... and at x = 1/3 of chart b, a point of the Dirac splitting check
+    ("check", {"charts": [{"id": "a", "h": "1"}, {"id": "b", "h": "1/(x-1/3)^2"}],
+               "gluings": [{"points": [["a", 0], ["b", 0]], "scale": "1/3"}]},
+     "/charts/1/h"),
 ], ids=["tol", "glue-point", "nested-parentheses", "long-sum",
         "one-component-section", "point-section-lacks", "point-unknown-chart",
         "charts-object", "gluings-object", "sections-object",
         "h-not-positive", "h-zero-divisor-at-glue-point",
-        "h-zero-divisor-on-sample-grid", "chart-outside-gluing"])
+        "h-zero-divisor-on-sample-grid", "chart-outside-gluing",
+        "h-zero-divisor-on-checker-grid", "h-zero-on-checker-grid",
+        "h-zero-divisor-at-splitting-point"])
 def test_malformed_values_exit_two(tmp_path, capsys, command, data, pointer):
     assert main([command, write_cfg(tmp_path, data)]) == 2
     assert pointer in capsys.readouterr().err
@@ -161,6 +176,29 @@ def test_dirac_command_values(capsys):
             assert len(val) == 2
 
 
+def test_dirac_builds_each_chart_value_once(tmp_path, monkeypatch):
+    # D s is built once per (section, chart), then evaluated at each point
+    from diffwedge import cli, dirac
+    built = Counter()
+    apply = dirac.apply_dirac_chart
+    monkeypatch.setattr(dirac, "apply_dirac_chart", lambda d, comps, cid:
+                        built.update([(id(comps), cid)]) or apply(d, comps, cid))
+    data = {"charts": [{"id": "a", "h": "1+x^2"}, {"id": "b", "h": "1/(1+x^2)"}],
+            "gluings": [{"points": [["a", 0], ["b", 0]]}],
+            "dirac": {"sections": [{"a": [f"x^2+{k}", "x-1"], "b": ["1", f"{k}*x"]}
+                                   for k in range(3)],
+                      "points": [[cid, f"{i}/7"] for cid in "ab"
+                                 for i in range(1, 21)]}}
+    cfg = load_config(write_cfg(tmp_path, data))
+    report, code = run("dirac", cfg)
+    assert code == 0 and len(report["values"]["dirac"]) == 3
+    assert sorted(built.values()) == [1] * 6
+    d = dirac.dirac(cli._build_module(cfg))
+    for comp, row in zip(cfg["dirac"]["sections"], report["values"]["dirac"]):
+        for cid, x in cfg["dirac"]["points"]:
+            assert row[f"{cid}@{x}"] == eval_vector(apply(d, comp, cid), x)
+
+
 def test_run_report_command():
     cfg = load_config(cfg_path("two_planes.json"))
     report, code = run("report", cfg)
@@ -196,6 +234,21 @@ def test_report_runs_the_fibre_suite_once(monkeypatch):
     assert code == 0 and len(calls) == 1
     names = [v["name"] for v in report["verdicts"]]
     assert names.count("dual-metric-defining-identity") == 1
+
+
+@pytest.mark.parametrize("command", ["clifford-table", "report", "check"])
+def test_metric_that_is_not_a_pseudo_metric_fails_its_verdict(tmp_path, capsys,
+                                                              command):
+    # every command reports the failed verdict; no Clifford table is built
+    p = write_cfg(tmp_path, {"fibre": {"dim": 3, "metric": [[0, 1, 0], [1, 0, 2],
+                                                            [0, 2, 0]]}})
+    assert main([command, p]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdicts"] == [{"name": "pseudo-metric", "pass": False,
+                                   "rank": 0,
+                                   "reason": "not positive semidefinite"}]
+    assert report["failed"] == ["pseudo-metric"]
+    assert "clifford_table" not in report["values"]
 
 
 @pytest.mark.parametrize("command", ["dual-metric", "check", "report"])

@@ -53,3 +53,33 @@ def test_traced_functions_are_plain_module_functions():
         obj = getattr(module, fn, None)
         assert inspect.isfunction(obj) and obj.__module__ == module.__name__, \
             f"{mod}.{fn} is not a plain function of diffwedge.{mod}"
+
+
+def _names_called(code):
+    """Global and attribute names a code object and its nested ones use."""
+    names = set(code.co_names)
+    for c in code.co_consts:
+        if inspect.iscode(c):
+            names |= _names_called(c)
+    return names
+
+
+def test_evaluation_helpers_never_call_the_public_evaluate(monkeypatch):
+    """The tracer counts ``symexpr.evaluate`` by wrapping the module
+    attribute, so its count is of callers' calls only while no private
+    helper of symexpr calls it back."""
+    from fractions import Fraction
+    from diffwedge import symexpr
+    helpers = [f for name, f in vars(symexpr).items() if name.startswith("_")
+               and inspect.isfunction(f) and f.__module__ == symexpr.__name__]
+    assert {"_walk", "_compile", "_run", "_add", "_div"} <= {f.__name__ for f in helpers}
+    for f in helpers:
+        assert "evaluate" not in _names_called(f.__code__), f.__name__
+    calls = []
+    evaluate = symexpr.evaluate
+    monkeypatch.setattr(symexpr, "evaluate",
+                        lambda e, x: calls.append(x) or evaluate(e, x))
+    e = symexpr.parse_expr("(x+1)*(x-2)/(x^2+3) - exp(x)^-2")
+    for x in (Fraction(1, 2), 3, 0.25):      # the walk, then the tape
+        symexpr.evaluate(e, x)
+    assert calls == [Fraction(1, 2), 3, 0.25]

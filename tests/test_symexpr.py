@@ -189,25 +189,98 @@ rich = st.recursive(
         st.tuples(sub, st.sampled_from([Add, Mul, Div])).map(lambda t: t[1](t[0], _copy(t[0]))),
     ),
     max_leaves=64)
-points = st.one_of(st.fractions(-3, 3, max_denominator=5), st.integers(-3, 3),
+# points: denominators up to 10^6, negative and int points, and floats
+points = st.one_of(st.fractions(-3, 3, max_denominator=5),
+                   st.fractions(-3, 3, max_denominator=10**6), st.integers(-3, 3),
                    st.floats(-3, 3, allow_nan=False))
 
 
+def _fraction_walk(e, x):
+    """Reference evaluation: recursion over the tree in Fraction arithmetic."""
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, symexpr.Var):
+        return Fraction(x) if isinstance(x, (int, Fraction)) else x
+    if isinstance(e, Neg):
+        return -_fraction_walk(e.children[0], x)
+    if isinstance(e, Add):
+        return _fraction_walk(e.children[0], x) + _fraction_walk(e.children[1], x)
+    if isinstance(e, Mul):
+        return _fraction_walk(e.children[0], x) * _fraction_walk(e.children[1], x)
+    if isinstance(e, Div):
+        num = _fraction_walk(e.children[0], x)
+        den = _fraction_walk(e.children[1], x)
+        if den == 0:
+            raise ZeroDivisionError(f"division by zero at x={x}")
+        return num / den
+    if isinstance(e, Pow):
+        base = _fraction_walk(e.children[0], x)
+        if e.exponent < 0 and base == 0:
+            raise ZeroDivisionError(f"zero raised to {e.exponent} at x={x}")
+        return base ** e.exponent
+    arg = _fraction_walk(e.children[0], x)
+    return {Exp: math.exp, Sin: math.sin, Cos: math.cos}[type(e)](arg)
+
+
 def _outcome(f, e, x):
-    """What f(e, x) gives: its type and value (floats by bits), or its error."""
+    """What f(e, x) gives: its type and value (Fractions by numerator and
+    denominator, floats by bits), or its error type and message."""
     try:
         v = f(e, x)
     except (ArithmeticError, ValueError) as exc:
         return type(exc), str(exc)
+    if isinstance(v, Fraction):
+        return type(v), v.numerator, v.denominator
     return type(v), v.hex() if isinstance(v, float) else v
+
+
+def _matches_the_fraction_walk(e, xs):
+    """On a fresh copy of ``e``, the first evaluate (at xs[0], the walk) and
+    every later one (the tape) give what the Fraction walk gives."""
+    e = _copy(e)
+    for x in xs[:1] + xs:
+        assert _outcome(evaluate, e, x) == _outcome(_fraction_walk, e, x), (e, x)
+    assert isinstance(e._tape, tuple) or not e.children
 
 
 @given(rich, st.lists(points, min_size=1, max_size=4))
 def test_compiled_evaluation_matches_the_walk(e, xs):
-    _outcome(evaluate, e, xs[0])          # the first evaluation walks
-    for x in xs:
-        assert _outcome(evaluate, e, x) == _outcome(symexpr._walk, e, x)
-    assert isinstance(e._tape, tuple) or not e.children
+    _matches_the_fraction_walk(e, xs)
+
+
+_SUM60 = Const(0)
+for _k in range(1, 61):                # 60 terms of distinct denominators
+    _SUM60 = Add(_SUM60, Div(Const(Fraction(_k % 7 - 3, _k)), X + Const(_k)))
+_FLOAT = Exp(X) - 2                      # float-valued, changes sign near 0.69
+_EXACT = Div(X + Fraction(1, 3), Neg(X) - 7) * Fraction(-5, 11)
+
+
+_CASES = {
+    "sum60": _SUM60,
+    # negative divisors and zero numerators
+    "x/-3": Div(X, Const(-3)), "0/(x-1)": Div(ZERO, X - 1),
+    "-x/-(x+1)": Div(Neg(X), Neg(X + 1)),
+    "0/-2+0x/(x-2)": Div(ZERO, Const(-2)) + Div(X * 0, X - 2),
+    "1/x*x/(1-x)": Div(ONE, X) * Div(X, ONE - X),
+    # negative bases under negative exponents, exact and float
+    "(-x-1)^-3": Pow(Neg(X) - 1, -3), "(-2/3)^-2*x": Pow(Const(Fraction(-2, 3)), -2) * X,
+    "float^-3": Pow(_FLOAT, -3), "(-x)^0+(x-x)^2": Pow(Neg(X), 0) + Pow(X - X, 2),
+    "exact^-1-(-sum60)^-1": Pow(_EXACT, -1) - Pow(Neg(_SUM60), -1),
+    # a float operand on either side of every binary operation
+    **{f"{op.__name__}({a},{b})": op(*(dict(float=_FLOAT, exact=_EXACT, sum60=_SUM60)[v]
+                                       for v in (a, b)))
+       for op in (Add, Mul, Div)
+       for a, b in [("float", "exact"), ("exact", "float"), ("float", "sum60"),
+                    ("sum60", "float"), ("float", "float")]},
+    "sin,cos,exp": Sin(_SUM60) + Cos(_EXACT) * Exp(Neg(_SUM60)),
+}
+
+
+@pytest.mark.parametrize("e", _CASES.values(), ids=_CASES.keys())
+def test_pair_arithmetic_matches_the_fraction_walk(e):
+    xs = [Fraction(-999_983, 1_000_000), Fraction(1, 7), Fraction(-7, 3), -2, 0,
+          3, Fraction(693_147, 1_000_000), 0.1, -1.5, 1e-300]
+    _matches_the_fraction_walk(e, xs)
 
 
 def test_compiled_zero_divisor_raises_the_walk_message():
