@@ -27,7 +27,8 @@ A = [[Fraction(v) for v in row]
      for row in ([2, 1, -1], [1, 2, -2], [-1, -2, 2])]
 v = is_pseudo_metric(model, A)
 print("\nA =", show(A))
-print("pseudo-metric verdict:", v.ok, "| rank", v.rank)
+# kernel exactly K: the rank is the dimension of the smooth dual
+print("pseudo-metric verdict:", v.ok, "| rank", model.dim - model.k_dim)
 
 B = dual_metric(model, A)
 print("dual metric B =", show(B))

@@ -19,8 +19,8 @@ lam1 = lambda1(line("a"), {"a": "exp(x)"})
 lam2 = lambda1(line("b"), {"b": "exp(-x)"})
 module = exterior_module(lam1, lam2, [(("a", 0), ("b", 0))], 1)
 
-ok, witness = check_action_compatibility(module)
-print("leg actions compatible through the glue map:", ok)
+v = check_action_compatibility(module)
+print("leg actions compatible through the glue map:", v.ok)
 
 m1, m2 = single_chart_module(lam1), single_chart_module(lam2)
 d1 = dirac(m1, clifford_connection(m1))
@@ -38,11 +38,11 @@ for p in [("a", Fraction(-1)), ("a", Fraction(0)), ("b", Fraction(1))]:
 points = [("a", Fraction(i, 3)) for i in range(-6, 7) if i != 0]
 points += [("b", Fraction(i, 3)) for i in range(1, 7)]
 points.append(("a", Fraction(0)))
-ok, worst = verify_splitting(d, s1, s2, points, 1e-10)
+v = verify_splitting(d, s1, s2, points, 1e-10)
 print(f"\nsplitting over the legs at {len(points)} points:",
-      "ok" if ok else "FAILED", f"(worst residual {worst:.3g})")
+      "ok" if v.ok else "FAILED", f"(worst residual {v.residual:.3g})")
 
 grid = [Fraction(i, 5) for i in range(-10, 11)]
-ok, worst = check_unitarity(module, {"a": grid, "b": grid})
+v = check_unitarity(module, {"a": grid, "b": grid})
 print("unit one-forms act by isometries:",
-      "ok" if ok else "FAILED", f"(worst residual {worst:.3g})")
+      "ok" if v.ok else "FAILED", f"(worst residual {v.residual:.3g})")

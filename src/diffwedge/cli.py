@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import symexpr
-from .symexpr import Const, Expr, ExprSyntaxError
+from .symexpr import Const, Expr, ExprSyntaxError, Verdict
 from .bundle import as_expr
 from .clifford import build_algebra, cl_mul, multiplication_table
 from .connection import check_leibniz, check_metric_compatibility, \
@@ -176,15 +176,16 @@ def render_report(report):
     return json.dumps(_canon(report), sort_keys=True, indent=2) + "\n"
 
 
-def _verdict(name, ok, **extra):
-    v = {"name": name, "pass": bool(ok)}
-    v.update(extra)
-    return v
+def _verdict(name, v, *fields):
+    """Report entry of the ``Verdict`` v, with the record's ``fields``."""
+    return {"name": name, "pass": v.ok, **{f: getattr(v, f) for f in fields}}
 
 
-def _metric_verdict(v):
-    """The report entry of an ``is_pseudo_metric`` verdict."""
-    return _verdict("pseudo-metric", v.ok, reason=v.reason, rank=v.rank)
+def _metric_verdict(v, model):
+    """Report entry of ``is_pseudo_metric``: a pseudo-metric has kernel K,
+    so its rank is the dimension of the smooth dual."""
+    return {**_verdict("pseudo-metric", v), "reason": v.witness,
+            "rank": model.dim - model.k_dim if v else 0}
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +228,9 @@ def _check_h_on(cfg, points):
 
 
 def _build_module(cfg):
-    """Exterior module over the configured wedge (single gluing supported)."""
+    """(metric-glue gate h1 = scale^2 h2, exterior module or None when the
+    gate fails); an unusable wedge, e.g. with more than one gluing, is a
+    config error before the gate is tried."""
     if len(cfg["gluings"]) != 1:
         raise ConfigError("exactly one gluing is supported for the glued suites")
     g = cfg["gluings"][0]
@@ -243,7 +246,15 @@ def _build_module(cfg):
                                 {cid: cfg["charts"][i]["h"]}))
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"/charts/{i}/h: {exc}")
-    return exterior_module(*lams, [(g["from"], g["to"])], g["scale"])
+    (c1, x1), (c2, x2) = g["from"], g["to"]
+    a = g["scale"]
+    h1 = _h_at(cfg, c1, x1)
+    h2 = _h_at(cfg, c2, x2)
+    gate = Verdict(abs(float(h1 - a * a * h2)) <= 1e-12,
+                   witness=f"h[{c1}]({x1}) = {float(h1):.6g}, "
+                           f"scale^2 h[{c2}]({x2}) = {float(a * a * h2):.6g}")
+    return gate, (exterior_module(*lams, [(g["from"], g["to"])], a)
+                  if gate else None)
 
 
 def _random_poly(rng):
@@ -271,37 +282,33 @@ def _compatible_sections(module, cfg, rng):
 
 def _glued_suite(cfg, seed, tol):
     verdicts = []
+
+    def add(name, v, *fields):
+        verdicts.append(_verdict(name, v, *fields))
+
     rng = random.Random(seed)
     pts = _points_per_chart(cfg)
     g = cfg["gluings"][0]
-    (c1, x1), (c2, x2) = g["from"], g["to"]
-    a = g["scale"]
+    c1, c2 = g["from"][0], g["to"][0]
     h = {c["id"]: c["h"] for c in cfg["charts"]}
     eval_points = [(c1, Fraction(i, 3)) for i in range(-6, 7) if i != 0]
     eval_points += [(c2, Fraction(i, 3)) for i in range(1, 7)]
     eval_points.append(g["from"])
 
-    h1 = _h_at(cfg, c1, x1)
-    h2 = _h_at(cfg, c2, x2)
-    gate = abs(float(h1 - a * a * h2)) <= 1e-12
-    verdicts.append(_verdict(
-        "metric-glue-compatibility", gate,
-        witness=f"h[{c1}]({x1}) = {float(h1):.6g}, "
-                f"scale^2 h[{c2}]({x2}) = {float(a * a * h2):.6g}"))
+    gate, module = _build_module(cfg)
+    add("metric-glue-compatibility", gate, "witness")
     if not gate:
         return verdicts, None
 
     # every point where a checker below samples h
     _check_h_on(cfg, [(cid, x) for cid, xs in pts.items() for x in xs]
                 + eval_points)
-    module = _build_module(cfg)
-    ok, witness = check_action_compatibility(module)
-    verdicts.append(_verdict("action-equivariance", ok, witness=witness))
-    ok, witness = check_algebra_morphism(module, g["from"])
-    verdicts.append(_verdict("algebra-morphism", ok, witness=witness))
+    add("action-equivariance", check_action_compatibility(module), "witness")
+    add("algebra-morphism", check_algebra_morphism(module, g["from"]),
+        "witness")
 
     # glued Clifford product against the closed rank-1 formula
-    worst = 0.0
+    samples = []
     for x in (Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(2)):
         hv = symexpr.evaluate(h[c1], x)
         alg = build_algebra(DvsModel(1), [[hv if isinstance(hv, Fraction)
@@ -312,18 +319,15 @@ def _glued_suite(cfg, seed, tol):
                           {1: Fraction(z2), 0: Fraction(w2)})
             want_e = Fraction(z1 * w2 + z2 * w1)
             want_1 = -hv * z1 * z2 + w1 * w2
-            worst = max(worst,
-                        abs(float(prod.get(1, 0) - want_e)),
-                        abs(float(prod.get(0, 0) - want_1)))
-    verdicts.append(_verdict("glued-clifford-product", worst <= 1e-12,
-                             residual=worst))
+            samples += [(abs(float(prod.get(1, 0) - want_e)), f"x = {x}"),
+                        (abs(float(prod.get(0, 0) - want_1)), f"x = {x}")]
+    add("glued-clifford-product", Verdict.within(1e-12, samples), "residual")
 
     lam = module.lam
     branch_ok = all(lam.fibre_dim(cls[0]) == len(cls)
                     for cls in lam.base.glue_classes)
-    verdicts.append(_verdict("one-form-fibre-dimensions", branch_ok))
-    ok, witness = dual_metric_identity_check(lam)
-    verdicts.append(_verdict("dual-metric-coincidence", ok, witness=witness))
+    add("one-form-fibre-dimensions", Verdict(branch_ok))
+    add("dual-metric-coincidence", dual_metric_identity_check(lam), "witness")
 
     lc = levi_civita(lam)
     trials = []
@@ -331,45 +335,40 @@ def _glued_suite(cfg, seed, tol):
         f = {cid: _random_poly(rng) for cid in h}
         s = {cid: [_random_poly(rng)] for cid in h}
         trials.append((f, s))
-    ok, worst = check_leibniz(lc, trials, pts, tol)
-    verdicts.append(_verdict("leibniz", ok, residual=worst))
+    add("leibniz", check_leibniz(lc, trials, pts, tol), "residual")
 
     pairs = [( {cid: [_random_poly(rng)] for cid in h},
                {cid: [_random_poly(rng)] for cid in h}) for _ in range(3)]
-    ok, worst, witness = check_metric_compatibility(lc, pairs, pts, tol)
-    verdicts.append(_verdict("metric-compatibility", ok, residual=worst,
-                             witness=witness))
+    add("metric-compatibility", check_metric_compatibility(lc, pairs, pts, tol),
+        "residual", "witness")
 
     fields = [{cid: _random_poly(rng) for cid in h} for _ in range(3)]
-    ok = is_symmetric_connection(dual_connection(lc), fields, pts, tol)
-    verdicts.append(_verdict("torsion-free", ok))
+    add("torsion-free",
+        is_symmetric_connection(dual_connection(lc), fields, pts, tol))
 
     triples = [tuple({cid: _random_poly(rng) for cid in h} for _ in range(3))
                for _ in range(4)]
-    ok, worst = koszul_check(lam, triples, pts, 1e-9)
-    verdicts.append(_verdict("koszul", ok, residual=worst))
+    add("koszul", koszul_check(lam, triples, pts, 1e-9), "residual")
 
     conn_e = clifford_connection(module)
     batteries = [({cid: _random_poly(rng) for cid in h},
                   {cid: _random_poly(rng) for cid in h},
                   {cid: [_random_poly(rng), _random_poly(rng)] for cid in h})
                  for _ in range(3)]
-    ok, worst = check_clifford_connection(module, conn_e, lc, batteries, pts,
-                                          1e-9)
-    verdicts.append(_verdict("clifford-connection", ok, residual=worst))
-
-    ok, worst = check_unitarity(module, pts, tol=1e-9)
-    verdicts.append(_verdict("unitarity", ok, residual=worst))
+    add("clifford-connection",
+        check_clifford_connection(module, conn_e, lc, batteries, pts, 1e-9),
+        "residual")
+    add("unitarity", check_unitarity(module, pts, tol=1e-9), "residual")
 
     d = dirac(module)
     for _ in range(5):
         s1, s2 = _compatible_sections(module, cfg, rng)
-        ok, worst = verify_splitting(d, s1, s2, eval_points, tol)
-        if not ok:
-            verdicts.append(_verdict("dirac-splitting", False, residual=worst))
+        v = verify_splitting(d, s1, s2, eval_points, tol)
+        if not v:
+            add("dirac-splitting", v, "residual")
             break
     else:
-        verdicts.append(_verdict("dirac-splitting", True))
+        add("dirac-splitting", v)
     return verdicts, module
 
 
@@ -382,7 +381,7 @@ def _fibre_suite(cfg):
     metric = cfg["fibre"]["metric"]
     if metric is not None:
         v = is_pseudo_metric(model, metric)
-        verdicts.append(_metric_verdict(v))
+        verdicts.append(_metric_verdict(v, model))
         if v.ok:
             b = dual_metric(model, metric)
             values["dual_metric"] = b
@@ -392,8 +391,8 @@ def _fibre_suite(cfg):
             phi = [pairing_map(model, metric, _unit(n, i)) for i in range(n)]
             pulled = (mat_mul(phi, mat_mul(b, transpose(phi))) if b
                       else zeros(n, n))     # a 0-dimensional dual
-            ok = pulled == metric
-            verdicts.append(_verdict("dual-metric-defining-identity", ok))
+            verdicts.append(_verdict("dual-metric-defining-identity",
+                                     Verdict(pulled == metric)))
             values["note"] = (
                 "the dual matrix is forced by the identity "
                 "B(phi(u), phi(v)) = g(u, v); for the 3-dimensional example "
@@ -435,7 +434,8 @@ def run(command, cfg, seed=0, tol=None):
             except ValueError:      # not a pseudo-metric: no table
                 if command == "clifford-table":     # report's fibre suite says so
                     report["verdicts"].append(_metric_verdict(
-                        is_pseudo_metric(fibre["model"], fibre["metric"])))
+                        is_pseudo_metric(fibre["model"], fibre["metric"]),
+                        fibre["model"]))
             else:
                 table = multiplication_table(alg)
                 report["values"]["clifford_table"] = {
@@ -444,15 +444,23 @@ def run(command, cfg, seed=0, tol=None):
             raise ConfigError("clifford-table needs a fibre block with a metric")
     if command in ("dirac", "report"):
         if cfg["dirac"] is not None:
-            module = _build_module(cfg)
-            d = dirac(module)
-            out = []
-            for comp in cfg["dirac"]["sections"]:
-                row = {}
-                for p in cfg["dirac"]["points"]:
-                    row[f"{p[0]}@{p[1]}"] = dirac_value_at(d, comp, p)
-                out.append(row)
-            report["values"]["dirac"] = out
+            gate, module = _build_module(cfg)
+            if module is None:
+                if command == "dirac":      # report's glued suite says so
+                    report["verdicts"].append(_verdict(
+                        "metric-glue-compatibility", gate, "witness"))
+            else:
+                d = dirac(module)
+                out = []
+                for comp in cfg["dirac"]["sections"]:
+                    row = {}
+                    for k, p in enumerate(cfg["dirac"]["points"]):
+                        try:    # h may divide by zero where no checker looks
+                            row[f"{p[0]}@{p[1]}"] = dirac_value_at(d, comp, p)
+                        except ZeroDivisionError as exc:
+                            raise ConfigError(f"/dirac/points/{k}: {exc}")
+                    out.append(row)
+                report["values"]["dirac"] = out
         elif command == "dirac":
             raise ConfigError("dirac command needs a dirac block")
     failed = [v["name"] for v in report["verdicts"] if not v["pass"]]

@@ -44,7 +44,7 @@ def build_algebra(model, g):
     if any(any(v != 0 for v in row) for row in g):
         verdict = is_pseudo_metric(model, g)
         if not verdict:
-            raise ValueError(f"invalid metric: {verdict.reason}")
+            raise ValueError(f"invalid metric: {verdict.witness}")
     p, diag = congruent_diagonal(g)
     frame = tuple(tuple(row) for row in p)
     return CliffordAlgebra(model.dim, frame, tuple(diag))

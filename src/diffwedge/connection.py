@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import symexpr
-from .symexpr import ZERO, max_residual, simplify
+from .symexpr import ZERO, Verdict, max_residual, simplify
 from .bundle import PseudoBundle, as_expr, emat_block_sum, emat_kron, \
     eval_vector
 from .forms import OneFormBundle
@@ -124,14 +124,21 @@ def torsion(conn_fields, t1, t2):
     return out
 
 
+def _chartwise(groups, points, tol):
+    """Verdict on (chart id, [(lhs, rhs), ...]) ``groups`` sampled at their
+    chart's points; the witness is the chart and point of the worst."""
+    def samples():
+        for cid, sides in groups:
+            r, x = max_residual(sides, points.get(cid, []))
+            yield r, f"chart {cid}, x = {x}"
+    return Verdict.within(tol, samples())
+
+
 def is_symmetric_connection(conn_fields, fields, points, tol=1e-10):
     """All sampled torsion values below tolerance, for all field pairs."""
-    for t1 in fields:
-        for t2 in fields:
-            for cid, e in torsion(conn_fields, t1, t2).items():
-                if max_residual([(e, ZERO)], points.get(cid, []))[0] > tol:
-                    return False
-    return True
+    return _chartwise([(cid, [(e, ZERO)]) for t1 in fields for t2 in fields
+                       for cid, e in torsion(conn_fields, t1, t2).items()],
+                      points, tol)
 
 
 def glue_connections(c1, c2, bundle):
@@ -171,11 +178,10 @@ def _chart_metric(conn, cid):
 def check_metric_compatibility(conn, pairs, points, tol=1e-10):
     """d(g(s,t)) = g(nabla s, t) + g(s, nabla t) at the sampled points.
 
-    ``pairs`` is a list of (s_components, t_components); returns
-    (verdict, worst residual, witness description).
+    ``pairs`` is a list of (s_components, t_components); the verdict's
+    witness names the chart and point of the worst residual.
     """
-    worst = 0.0
-    witness = ""
+    groups = []
     for s, t in pairs:
         ns = apply_connection(conn, s)
         nt = apply_connection(conn, t)
@@ -193,15 +199,13 @@ def check_metric_compatibility(conn, pairs, points, tol=1e-10):
                 for j in range(len(tv)):
                     rhs = rhs + ns[cid][i] * g[i][j] * tv[j]
                     rhs = rhs + sv[i] * g[i][j] * nt[cid][j]
-            r, x = max_residual([(lhs, rhs)], points.get(cid, []))
-            if r > worst:
-                worst, witness = r, f"chart {cid}, x = {x}"
-    return worst <= tol, worst, witness
+            groups.append((cid, [(lhs, rhs)]))
+    return _chartwise(groups, points, tol)
 
 
 def check_leibniz(conn, trials, points, tol=1e-10):
     """nabla(f s) = df tensor s + f nabla s for the given (f, s) trials."""
-    worst = 0.0
+    groups = []
     for f, s in trials:
         fs = {cid: [simplify(as_expr(f[cid]) * as_expr(e)) for e in v]
               for cid, v in s.items()}
@@ -209,11 +213,10 @@ def check_leibniz(conn, trials, points, tol=1e-10):
         ns = apply_connection(conn, s)
         for cid in s:
             df = _d(as_expr(f[cid]))
-            sides = [(lhs[cid][i],
-                      df * as_expr(s[cid][i]) + as_expr(f[cid]) * ns[cid][i])
-                     for i in range(len(s[cid]))]
-            worst = max(worst, max_residual(sides, points.get(cid, []))[0])
-    return worst <= tol, worst
+            groups.append((cid, [(lhs[cid][i], df * as_expr(s[cid][i])
+                                  + as_expr(f[cid]) * ns[cid][i])
+                                 for i in range(len(s[cid]))]))
+    return _chartwise(groups, points, tol)
 
 
 def koszul_check(lam, triples, points, tol=1e-9):
@@ -223,7 +226,7 @@ def koszul_check(lam, triples, points, tol=1e-9):
     dual-metric pairing of nabla_{t1} t2 with t3.
     """
     conn = dual_connection(levi_civita(lam))
-    worst = 0.0
+    groups = []
     for t1, t2, t3 in triples:
         nab = covariant_derivative(conn, t1, {cid: [t2[cid]] for cid in t2})
         for cid in t1:
@@ -240,6 +243,5 @@ def koszul_check(lam, triples, points, tol=1e-9):
             rhs = (act(b1, pair(b2, b3)) + act(b2, pair(b1, b3))
                    - act(b3, pair(b1, b2)) + pair(_bracket(b1, b2), b3)
                    - pair(_bracket(b2, b3), b1) + pair(_bracket(b3, b1), b2))
-            sides = [(simplify(lhs), simplify(rhs))]
-            worst = max(worst, max_residual(sides, points.get(cid, []))[0])
-    return worst <= tol, worst
+            groups.append((cid, [(simplify(lhs), simplify(rhs))]))
+    return _chartwise(groups, points, tol)

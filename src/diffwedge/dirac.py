@@ -13,11 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .symexpr import ZERO, ONE, max_residual, simplify
+from .symexpr import ZERO, ONE, Verdict, simplify
 from .bundle import PseudoBundle, as_expr, eval_vector, glue_bundles, \
     trivial_bundle
-from .connection import Connection, _nabla, connection_value_at, \
-    glue_connections, levi_civita
+from .connection import Connection, _chartwise, _nabla, \
+    connection_value_at, glue_connections, levi_civita
 from .dvspace import apply_form, standard_model
 from .forms import OneFormBundle, g_lambda
 from .linalg import mat_mul, mat_vec
@@ -78,8 +78,8 @@ def check_action_compatibility(module):
     """Equivariance of the leg actions through the paired glue maps.
 
     For each glue class and each paired one-form (dx, a dy) the identity
-    c2(a dy) o f' = f' o c1(dx) must hold on the module basis; returns
-    (verdict, witness).
+    c2(a dy) o f' = f' o c1(dx) must hold on the module basis; a failed
+    verdict's witness shows both sides at the first failing glue point.
     """
     bundle = module.bundle
     for i, cls in enumerate(bundle.base.glue_classes):
@@ -95,9 +95,9 @@ def check_action_compatibility(module):
             rhs = mat_mul(fpr, c1)
             if any(abs(u - v) > 1e-12 for ru, rv in zip(lhs, rhs)
                    for u, v in zip(ru, rv)):
-                return False, (f"glue point {p}: c2(a dy) f' = {lhs} but "
-                               f"f' c1(dx) = {rhs}")
-    return True, ""
+                return Verdict(False, witness=f"glue point {p}: c2(a dy) f' "
+                                              f"= {lhs} but f' c1(dx) = {rhs}")
+    return Verdict(True)
 
 
 def induced_action(module, class_index, lam_value, e):
@@ -144,8 +144,9 @@ def check_algebra_morphism(module, glue_point, tol=1e-12):
             prod = mul(h1, u, v)
             rhs = (prod[0], a * prod[1])
             if any(abs(l - r) > tol for l, r in zip(lhs, rhs)):
-                return False, f"products differ on {u}, {v}: {lhs} != {rhs}"
-    return True, ""
+                return Verdict(False, witness=f"products differ on {u}, {v}: "
+                                              f"{lhs} != {rhs}")
+    return Verdict(True)
 
 
 def check_unitarity(module, points_per_chart, tol=1e-10):
@@ -157,20 +158,21 @@ def check_unitarity(module, points_per_chart, tol=1e-10):
     """
     basis = [[1, 0], [0, 1], [1, 1]]
 
-    def gram(worst, act, h):
-        # fold in |g_E(c e1, c e2) - g_E(e1, e2)| over the basis pairs
-        g_e = [[1, 0], [0, h]]
-        return max(worst, *(abs(float(apply_form(g_e, act(e1), act(e2))
-                                      - apply_form(g_e, e1, e2)))
-                            for e1 in basis for e2 in basis))
+    samples = []
 
-    worst = 0.0
+    def gram(act, h, at):
+        # |g_E(c e1, c e2) - g_E(e1, e2)| over the basis pairs
+        g_e = [[1, 0], [0, h]]
+        samples.extend((abs(float(apply_form(g_e, act(e1), act(e2))
+                                  - apply_form(g_e, e1, e2))), at)
+                       for e1 in basis for e2 in basis)
+
     for cid, pts in points_per_chart.items():
         for x in pts:
             h = module.lam.h_at(cid, x)
             alpha = 1 / float(h) ** 0.5
             c = module.action_matrix(cid, x, alpha)
-            worst = gram(worst, lambda e: mat_vec(c, e), h)
+            gram(lambda e: mat_vec(c, e), h, f"chart {cid}, x = {x}")
     for i, cls in enumerate(module.bundle.base.glue_classes):
         rep = module.bundle.rep_point(i)
         g = g_lambda(module.lam, rep)
@@ -182,9 +184,9 @@ def check_unitarity(module, points_per_chart, tol=1e-10):
         norm = sum(g[k][k] * comp[br] ** 2
                    for k, br in enumerate(branches)) ** 0.5
         value = {br: comp[br] / norm for br in branches}
-        worst = gram(worst, lambda e: induced_action(module, i, value, e),
-                     module.lam.h_at(rep[0], rep[1]))
-    return worst <= tol, worst
+        gram(lambda e: induced_action(module, i, value, e),
+             module.lam.h_at(rep[0], rep[1]), f"glue class {i}")
+    return Verdict.within(tol, samples)
 
 
 def clifford_connection(module, lam_conn=None):
@@ -219,7 +221,7 @@ def check_clifford_connection(module, conn_e, lam_conn, batteries, points,
           = c((nabla^Lambda_t alpha) dx) r + c(alpha dx) nabla^E_t r
     at the sampled points.
     """
-    worst = 0.0
+    groups = []
     for t, alpha, r in batteries:
         for cid in t:
             al = as_expr(alpha[cid])
@@ -236,9 +238,9 @@ def check_clifford_connection(module, conn_e, lam_conn, batteries, points,
                           [simplify(v) for v in _act(h, u, w, al)])
             rhs = [p + q for p, q in zip(_act(h, u, w, nal),
                                          _act(h, nr[0], nr[1], al))]
-            sides = [(simplify(l), simplify(rr)) for l, rr in zip(lhs, rhs)]
-            worst = max(worst, max_residual(sides, points.get(cid, []))[0])
-    return worst <= tol, worst
+            groups.append((cid, [(simplify(l), simplify(rr))
+                                 for l, rr in zip(lhs, rhs)]))
+    return _chartwise(groups, points, tol)
 
 
 @dataclass(frozen=True)
@@ -311,9 +313,9 @@ def glue_dirac(d1, d2, module):
     checkable via the module constructor and check_action_compatibility;
     the glued connection is the chart union of the leg connections.
     """
-    ok, witness = check_action_compatibility(module)
-    if not ok:
-        raise ValueError(f"leg actions not compatible: {witness}")
+    v = check_action_compatibility(module)
+    if not v:
+        raise ValueError(f"leg actions not compatible: {v.witness}")
     conn = glue_connections(d1.connection, d2.connection, module.bundle)
     return DiracOperator(module, conn)
 
@@ -327,16 +329,14 @@ def verify_splitting(d, s1_comps, s2_comps, points, tol=1e-10):
     """
     module = d.module
     comps = {**s1_comps, **s2_comps}
-    worst = 0.0
-    leg1 = apply_dirac(d, s1_comps)
-    leg2 = apply_dirac(d, s2_comps)
-    legs = {**leg1, **leg2}
+    legs = apply_dirac(d, comps)
+    samples = []
     for p in points:
         p = _as_point(p)
         lhs = dirac_value_at(d, comps, p)
         i = module.bundle.base.class_of(p)
         q = module.bundle.rep_point(i) if i is not None else p
         rhs = eval_vector(legs[q[0]], q[1])
-        for l, r in zip(lhs, rhs):
-            worst = max(worst, abs(float(l - r)))
-    return worst <= tol, worst
+        samples += [(abs(float(l - r)), f"chart {p[0]}, x = {p[1]}")
+                    for l, r in zip(lhs, rhs)]
+    return Verdict.within(tol, samples)

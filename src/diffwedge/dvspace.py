@@ -28,13 +28,13 @@ from .linalg import (
     mat_mul,
     mat_vec,
     nullspace,
-    rank,
     row_space_basis,
     solve,
     span_equal,
     transpose,
     zeros,
 )
+from .symexpr import Verdict
 
 
 @dataclass(frozen=True)
@@ -116,33 +116,23 @@ def smooth_form_basis(model):
     return basis
 
 
-@dataclass
-class MetricVerdict:
-    ok: bool
-    reason: str = ""
-    rank: int = 0
-
-    def __bool__(self):
-        return self.ok
-
-
 def is_pseudo_metric(model, a):
-    """Symmetric, PSD, kernel exactly K; reports the first failure."""
+    """Symmetric, PSD, kernel exactly K; the witness names the first failure."""
     a = frac_matrix(a)
     if len(a) != model.dim or any(len(r) != model.dim for r in a):
         raise ValueError("matrix size does not match the fibre dimension")
     if not is_symmetric(a):
-        return MetricVerdict(False, "not symmetric")
+        return Verdict(False, witness="not symmetric")
     if not is_psd(a):
-        return MetricVerdict(False, "not positive semidefinite")
+        return Verdict(False, witness="not positive semidefinite")
     ker = nullspace(a)
     if not span_equal(ker, model.k_basis):
         if len(ker) < model.k_dim:
-            return MetricVerdict(False, "kernel too small (does not contain K)")
+            return Verdict(False, witness="kernel too small (does not contain K)")
         if len(ker) > model.k_dim:
-            return MetricVerdict(False, "kernel too large (degenerate beyond K)")
-        return MetricVerdict(False, "kernel differs from K")
-    return MetricVerdict(True, "", rank(a))
+            return Verdict(False, witness="kernel too large (degenerate beyond K)")
+        return Verdict(False, witness="kernel differs from K")
+    return Verdict(True)
 
 
 def make_pseudo_metric(model):
@@ -159,7 +149,7 @@ def characteristic_subspace(model, a):
     a = frac_matrix(a)
     verdict = is_pseudo_metric(model, a)
     if not verdict:
-        raise ValueError(f"invalid pseudo-metric: {verdict.reason}")
+        raise ValueError(f"invalid pseudo-metric: {verdict.witness}")
     return row_space_basis(a)
 
 
@@ -198,23 +188,8 @@ def apply_form(a, u, v):
     return sum(u[i] * a[i][j] * v[j] for i in range(len(u)) for j in range(len(v)))
 
 
-@dataclass
-class CompatibilityVerdict:
-    isometry: bool
-    kernel_misses_v0: bool
-    maps_v0_into_w0: bool
-    witness: str = ""
-
-    @property
-    def compatible(self):
-        return self.isometry
-
-    def __bool__(self):
-        return self.compatible
-
-
 def check_map_compatibility(model1, g1, model2, g2, f):
-    """Is g1(u, v) = g2(F u, F v)?  Also reports the structural conditions.
+    """Is g1(u, v) = g2(F u, F v)?  The witness names the first entry off.
 
     Exact on rational input, within 1e-12 when any entry is a float.
     """
@@ -230,17 +205,23 @@ def check_map_compatibility(model1, g1, model2, g2, f):
     n = model1.dim
     bad = [(i, j) for i in range(n) for j in range(n)
            if abs(pulled[i][j] - g1[i][j]) > tol]
-    witness = ""
-    if bad:
-        i, j = bad[0]
-        witness = (f"g1[e{i + 1},e{j + 1}]={g1[i][j]} but "
-                   f"g2[Fe{i + 1},Fe{j + 1}]={pulled[i][j]}")
+    if not bad:
+        return Verdict(True)
+    i, j = bad[0]
+    return Verdict(False, witness=f"g1[e{i + 1},e{j + 1}]={g1[i][j]} but "
+                                  f"g2[Fe{i + 1},Fe{j + 1}]={pulled[i][j]}")
+
+
+def map_conditions(model1, g1, model2, g2, f):
+    """The structural conditions on F: (its kernel misses the
+    characteristic subspace V0 of g1, it maps V0 into W0 of g2)."""
+    f = frac_matrix(f)
     v0 = characteristic_subspace(model1, g1)
     w0 = characteristic_subspace(model2, g2)
     ker = nullspace(f)
     kernel_ok = not any(in_span(v0, k) and any(x != 0 for x in k) for k in _span_meet(ker, v0))
     image_ok = all(in_span(w0, mat_vec(f, v)) for v in v0)
-    return CompatibilityVerdict(not bad, kernel_ok, image_ok, witness)
+    return kernel_ok, image_ok
 
 
 def _span_meet(basis_a, basis_b):
@@ -289,8 +270,5 @@ def check_dual_compatibility(model1, g1, model2, g2, f):
     b1 = dual_metric(model1, frac_matrix(g1))
     b2 = dual_metric(model2, frac_matrix(g2))
     fs = dual_map(model1, model2, f)
-    d2 = len(b2)
-    if not fs and d2 == 0:
-        return True
     pulled = mat_mul(transpose(fs), mat_mul(b1, fs)) if fs else []
-    return pulled == b2
+    return Verdict(pulled == b2)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import symexpr
-from .symexpr import simplify
+from .symexpr import Verdict, simplify
 from .bundle import as_expr
 from .wedge import Gluing, WedgeComplex, branches_at
 
@@ -157,5 +157,6 @@ def dual_metric_identity_check(bundle):
         lhs = dual_metric_sum(bundle, p)
         rhs = g_lambda_dual(bundle, p)
         if lhs != rhs:
-            return False, f"mismatch at glue class {idx}: {lhs} != {rhs}"
-    return True, ""
+            return Verdict(False, witness=f"mismatch at glue class {idx}: "
+                                          f"{lhs} != {rhs}")
+    return Verdict(True)

@@ -10,6 +10,7 @@ and the input is rational, and they are closed under differentiation.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -509,20 +510,44 @@ def _run(tape, x):
     return r[-1]
 
 
+def _first_worst(samples):
+    """(worst, at) over (residual, at) ``samples``: the first sample whose
+    residual exceeds every earlier one, or (0.0, None) while all are 0."""
+    worst, at = 0.0, None
+    for r, x in samples:
+        if r > worst:
+            worst, at = r, x
+    return worst, at
+
+
 def max_residual(pairs, points):
     """Worst sampled residual of the identities ``lhs = rhs`` in ``pairs``.
 
     The residual at x is ``float(abs(lhs(x) - rhs(x)))``.  Returns
-    (worst, x) with x the first point whose residual exceeds every
-    earlier one; x is None while every residual is 0.
+    (worst, x) by the rule of ``_first_worst``.
     """
-    worst, at = 0.0, None
-    for lhs, rhs in pairs:
-        for x in points:
-            r = float(abs(evaluate(lhs, x) - evaluate(rhs, x)))
-            if r > worst:
-                worst, at = r, x
-    return worst, at
+    return _first_worst((float(abs(evaluate(lhs, x) - evaluate(rhs, x))), x)
+                        for lhs, rhs in pairs for x in points)
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """What a checker found, truthy exactly when ``ok``: the worst residual
+    of a sampled check (None where there is none) and a witness naming the
+    worst or failing case."""
+
+    ok: bool
+    residual: float | None = None
+    witness: str = ""
+
+    def __bool__(self):
+        return self.ok
+
+    @classmethod
+    def within(cls, tol, samples):
+        """Passes when no (residual, witness) sample exceeds ``tol``."""
+        worst, at = _first_worst(samples)
+        return cls(worst <= tol, worst, "" if at is None else at)
 
 
 def differentiate(e):

@@ -75,12 +75,6 @@ class WedgeComplex:
         i = self.class_of(p)
         return i is not None and q in self.glue_classes[i]
 
-    def glue_coordinate(self, class_index, chart_id):
-        for c, x in self.glue_classes[class_index]:
-            if c == chart_id:
-                return x
-        raise KeyError(chart_id)
-
 
 def line(cid="x"):
     return WedgeComplex((Chart(cid),))
@@ -124,14 +118,6 @@ class Gluing:
 
     def i2(self, p):
         return _as_point(p)
-
-    def glue_image(self, p1):
-        """f(p1) for p1 in the glue locus."""
-        p1 = _as_point(p1)
-        for a, b in self.pairs:
-            if a == p1:
-                return b
-        raise KeyError(p1)
 
     def leg_of_chart(self, cid):
         if any(c.id == cid for c in self.x1.charts):

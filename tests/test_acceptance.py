@@ -83,8 +83,12 @@ def test_criterion_01_fibre_example():
         assert m[0][2] == -m[0][1]
         assert m[1][2] == -m[1][1]
         assert m[2][2] == m[1][1]
-    v = is_pseudo_metric(THREE_DIM, EXAMPLE_METRIC)
-    assert v.ok and v.rank == 2
+    assert is_pseudo_metric(THREE_DIM, EXAMPLE_METRIC).ok
+    # its rank is reported with the verdict; two_planes.json carries it
+    cfg = load_config(os.path.join(CONFIGS, "two_planes.json"))
+    entry = run("dual-metric", cfg)[0]["verdicts"][0]
+    assert entry == {"name": "pseudo-metric", "pass": True, "reason": "",
+                     "rank": 2}
 
 
 @reported("criterion 02 dual metric oracle and documented discrepancy")
@@ -200,21 +204,21 @@ def test_criterion_05_connections():
     rng = random.Random(0)
     trials = [({c: rnd_poly(rng) for c in ("a", "b")},
                {c: [rnd_poly(rng)] for c in ("a", "b")}) for _ in range(5)]
-    ok, worst = check_leibniz(lc, trials, pts, 1e-10)
-    assert ok, worst
+    v = check_leibniz(lc, trials, pts, 1e-10)
+    assert v.ok, v.residual
     pairs = [({c: [rnd_poly(rng)] for c in ("a", "b")},
               {c: [rnd_poly(rng)] for c in ("a", "b")}) for _ in range(3)]
-    ok, worst, _ = check_metric_compatibility(lc, pairs, pts, 1e-10)
-    assert ok, worst
+    v = check_metric_compatibility(lc, pairs, pts, 1e-10)
+    assert v.ok, v.residual
     flat = Connection(lam, {"a": [[ZERO]], "b": [[ZERO]]})
-    ok, worst, _ = check_metric_compatibility(flat, pairs, pts, 1e-10)
-    assert not ok
+    v = check_metric_compatibility(flat, pairs, pts, 1e-10)
+    assert not v.ok
     fields = [{c: rnd_poly(rng) for c in ("a", "b")} for _ in range(3)]
     assert is_symmetric_connection(dual_connection(lc), fields, pts, 1e-10)
     triples = [tuple({c: rnd_poly(rng) for c in ("a", "b")}
                      for _ in range(3)) for _ in range(10)]
-    ok, worst = koszul_check(lam, triples, pts, 1e-9)
-    assert ok, worst
+    v = koszul_check(lam, triples, pts, 1e-9)
+    assert v.ok, v.residual
 
 
 @reported("criterion 06 glued connection restricts, symmetric, compatible")
@@ -237,8 +241,8 @@ def test_criterion_06_glued_connection():
                                    1e-10)
     pairs = [({c: [rnd_poly(rng)] for c in ("a", "b")},
               {c: [rnd_poly(rng)] for c in ("a", "b")}) for _ in range(3)]
-    ok, worst, _ = check_metric_compatibility(glued, pairs, pts, 1e-10)
-    assert ok, worst
+    v = check_metric_compatibility(glued, pairs, pts, 1e-10)
+    assert v.ok, v.residual
 
 
 @reported("criterion 07 structure-map identities on full fibre bases")
@@ -287,10 +291,10 @@ def test_criterion_08_one_forms():
     g2 = glue_complexes(g1.result, line("c"), [(("a", 0), ("c", 0))])
     lam3 = lambda1(g2, {"a": "1", "b": "2", "c": "x^2+1"})
     assert lam3.fibre_dim(("c", 0)) == 3
-    ok, witness = dual_metric_identity_check(lam2)
-    assert ok, witness
-    ok, witness = dual_metric_identity_check(lam3)
-    assert ok, witness
+    v = dual_metric_identity_check(lam2)
+    assert v.ok, v.witness
+    v = dual_metric_identity_check(lam3)
+    assert v.ok, v.witness
 
 
 @reported("criterion 09 glued dirac operator splits over the legs")
@@ -314,8 +318,8 @@ def test_criterion_09_dirac_flagship():
         s1 = {"a": [u1, w1]}
         s2 = {"b": [u2 + parse_expr(str(Fraction(du))),
                     w2 + parse_expr(str(Fraction(dw)))]}
-        ok, worst = verify_splitting(d, s1, s2, points, 1e-10)
-        assert ok, worst
+        v = verify_splitting(d, s1, s2, points, 1e-10)
+        assert v.ok, v.residual
     lam = module.lam
     lc = levi_civita(lam)
     conn_e = clifford_connection(module, lc)
@@ -324,11 +328,10 @@ def test_criterion_09_dirac_flagship():
                   {c: rnd_poly(rng) for c in ("a", "b")},
                   {c: [rnd_poly(rng), rnd_poly(rng)] for c in ("a", "b")})
                  for _ in range(3)]
-    ok, worst = check_clifford_connection(module, conn_e, lc, batteries,
-                                          pts, 1e-9)
-    assert ok, worst
-    ok, worst = check_unitarity(module, pts, tol=1e-9)
-    assert ok, worst
+    v = check_clifford_connection(module, conn_e, lc, batteries, pts, 1e-9)
+    assert v.ok, v.residual
+    v = check_unitarity(module, pts, tol=1e-9)
+    assert v.ok, v.residual
 
 
 @reported("criterion 10 cli check passes and reports are byte-stable")

@@ -55,6 +55,9 @@ def test_bad_json_is_exit_two(tmp_path, capsys):
 
 GLUED = {"charts": [{"id": "a"}, {"id": "b"}],
          "gluings": [{"points": [["a", 0], ["b", 0]]}]}
+DIRAC_AT_POLE = {"charts": [{"id": "a", "h": "1/(x-1/7)^2"},
+                            {"id": "b", "h": "49"}],
+                 "gluings": [{"points": [["a", 0], ["b", 0]], "scale": 1}]}
 
 
 @pytest.mark.parametrize("command, data, pointer", [
@@ -102,13 +105,23 @@ GLUED = {"charts": [{"id": "a"}, {"id": "b"}],
     ("check", {"charts": [{"id": "a", "h": "1"}, {"id": "b", "h": "1/(x-1/3)^2"}],
                "gluings": [{"points": [["a", 0], ["b", 0]], "scale": "1/3"}]},
      "/charts/1/h"),
+    # h divides by zero at a configured Dirac point that no checker samples
+    ("dirac", {**DIRAC_AT_POLE, "dirac": {
+        "sections": [{"a": ["x", "1"], "b": ["1", "x"]}],
+        "points": [["a", "1"], ["a", "1/7"]]}},
+     "/dirac/points/1: division by zero at x=1/7"),
+    ("report", {**DIRAC_AT_POLE, "dirac": {
+        "sections": [{"a": ["x", "1"], "b": ["1", "x"]}],
+        "points": [["a", "1/7"]]}},
+     "/dirac/points/0: division by zero at x=1/7"),
 ], ids=["tol", "glue-point", "nested-parentheses", "long-sum",
         "one-component-section", "point-section-lacks", "point-unknown-chart",
         "charts-object", "gluings-object", "sections-object",
         "h-not-positive", "h-zero-divisor-at-glue-point",
         "h-zero-divisor-on-sample-grid", "chart-outside-gluing",
         "h-zero-divisor-on-checker-grid", "h-zero-on-checker-grid",
-        "h-zero-divisor-at-splitting-point"])
+        "h-zero-divisor-at-splitting-point", "h-zero-divisor-at-dirac-point",
+        "h-zero-divisor-at-dirac-point-in-report"])
 def test_malformed_values_exit_two(tmp_path, capsys, command, data, pointer):
     assert main([command, write_cfg(tmp_path, data)]) == 2
     assert pointer in capsys.readouterr().err
@@ -193,7 +206,7 @@ def test_dirac_builds_each_chart_value_once(tmp_path, monkeypatch):
     report, code = run("dirac", cfg)
     assert code == 0 and len(report["values"]["dirac"]) == 3
     assert sorted(built.values()) == [1] * 6
-    d = dirac.dirac(cli._build_module(cfg))
+    d = dirac.dirac(cli._build_module(cfg)[1])
     for comp, row in zip(cfg["dirac"]["sections"], report["values"]["dirac"]):
         for cid, x in cfg["dirac"]["points"]:
             assert row[f"{cid}@{x}"] == eval_vector(apply(d, comp, cid), x)
@@ -261,6 +274,27 @@ def test_zero_dimensional_dual(tmp_path, capsys, command):
     assert report["values"]["dual_metric"] == []
     passed = {v["name"]: v["pass"] for v in report["verdicts"]}
     assert passed["dual-metric-defining-identity"]
+
+
+@pytest.mark.parametrize("command", ["dirac", "report"])
+def test_failed_metric_glue_gate_is_a_verdict(tmp_path, capsys, command):
+    # h_a(0) = 1/49 but scale^2 h_b(0) = 1: the Dirac block reports the
+    # failed gate, as check does, instead of raising from the gluing
+    p = write_cfg(tmp_path, {
+        "charts": [{"id": "a", "h": "(x-1/7)^2+0*x"}, {"id": "b", "h": "1"}],
+        "gluings": [{"points": [["a", 0], ["b", 0]], "scale": 1}],
+        "dirac": {"sections": [{"a": ["x", "1"], "b": ["1", "x"]}],
+                  "points": [["a", "1"]]}})
+    assert main(["check", p]) == 1
+    gate = json.loads(capsys.readouterr().out)["verdicts"]
+    assert [v["name"] for v in gate] == ["metric-glue-compatibility"]
+    assert main([command, p]) == 1
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err and err == ""
+    report = json.loads(out)
+    assert report["verdicts"] == gate
+    assert report["failed"] == ["metric-glue-compatibility"]
+    assert "dirac" not in report["values"]
 
 
 def test_float_metric_glue_within_tolerance(tmp_path, capsys):

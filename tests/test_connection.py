@@ -146,8 +146,8 @@ def test_leibniz_random_battery():
     rng = random.Random(7)
     trials = [({c: rnd_poly(rng) for c in ("a", "b")},
                {c: [rnd_poly(rng)] for c in ("a", "b")}) for _ in range(5)]
-    ok, worst = check_leibniz(lc, trials, pts("a", "b"), 1e-10)
-    assert ok, worst
+    v = check_leibniz(lc, trials, pts("a", "b"), 1e-10)
+    assert v.ok, v.residual
 
 
 def test_metric_compatibility_pass_and_fail():
@@ -155,21 +155,20 @@ def test_metric_compatibility_pass_and_fail():
     rng = random.Random(11)
     pairs = [({c: [rnd_poly(rng)] for c in ("a", "b")},
               {c: [rnd_poly(rng)] for c in ("a", "b")}) for _ in range(3)]
-    ok, worst, _ = check_metric_compatibility(levi_civita(lam), pairs,
-                                              pts("a", "b"), 1e-10)
-    assert ok, worst
+    v = check_metric_compatibility(levi_civita(lam), pairs,
+                                   pts("a", "b"), 1e-10)
+    assert v.ok, v.residual
     flat = Connection(lam, {"a": [[ZERO]], "b": [[ZERO]]})
-    ok, worst, witness = check_metric_compatibility(flat, pairs,
-                                                    pts("a", "b"), 1e-10)
-    assert not ok and worst > 1e-3
+    v = check_metric_compatibility(flat, pairs, pts("a", "b"), 1e-10)
+    assert not v.ok and v.residual > 1e-3
 
 
 def test_metric_compatibility_trivial_zero_sections():
     lam = glued_lambda()
     flat = Connection(lam, {"a": [[ZERO]], "b": [[ZERO]]})
     pairs = [({"a": ["0"], "b": ["0"]}, {"a": ["0"], "b": ["0"]})]
-    ok, worst, _ = check_metric_compatibility(flat, pairs, pts("a", "b"))
-    assert ok and worst == 0
+    v = check_metric_compatibility(flat, pairs, pts("a", "b"))
+    assert v.ok and v.residual == 0
 
 
 def test_koszul_battery():
@@ -177,8 +176,8 @@ def test_koszul_battery():
     rng = random.Random(23)
     triples = [tuple({c: rnd_poly(rng) for c in ("a", "b")}
                      for _ in range(3)) for _ in range(10)]
-    ok, worst = koszul_check(lam, triples, pts("a", "b"), 1e-9)
-    assert ok, worst
+    v = koszul_check(lam, triples, pts("a", "b"), 1e-9)
+    assert v.ok, v.residual
 
 
 def test_glued_connection_restricts_to_legs():
@@ -206,9 +205,8 @@ def test_glued_connection_symmetric_and_compatible():
                                    pts("a", "b"), 1e-10)
     pairs = [({c: [rnd_poly(rng)] for c in ("a", "b")},
               {c: [rnd_poly(rng)] for c in ("a", "b")}) for _ in range(3)]
-    ok, worst, _ = check_metric_compatibility(glued, pairs, pts("a", "b"),
-                                              1e-10)
-    assert ok, worst
+    v = check_metric_compatibility(glued, pairs, pts("a", "b"), 1e-10)
+    assert v.ok, v.residual
 
 
 def test_glue_value_branch_diagonal():
@@ -250,12 +248,12 @@ def test_sum_and_tensor_connections():
     rng = random.Random(2)
     trials = [({"a": rnd_poly(rng)}, {"a": [rnd_poly(rng), rnd_poly(rng)]})
               for _ in range(3)]
-    ok, worst = check_leibniz(s, trials, pts("a"), 1e-10)
-    assert ok, worst
+    v = check_leibniz(s, trials, pts("a"), 1e-10)
+    assert v.ok, v.residual
     trials1 = [({"a": rnd_poly(rng)}, {"a": [rnd_poly(rng)]})
                for _ in range(3)]
-    ok, worst = check_leibniz(t, trials1, pts("a"), 1e-10)
-    assert ok, worst
+    v = check_leibniz(t, trials1, pts("a"), 1e-10)
+    assert v.ok, v.residual
 
 
 def test_flat_sum_flat_is_flat():

@@ -83,20 +83,20 @@ def test_metric_gate_rejects_scale_two_with_unit_metrics():
 def test_metric_gate_accepts_matched_scale():
     # h1(0) = 4 = a^2 h2(0) with a = 2
     m = wedge_module("x^2+4", "1", scale=2)
-    ok, witness = check_action_compatibility(m)
-    assert ok, witness
+    v = check_action_compatibility(m)
+    assert v.ok, v.witness
     assert clifford_algebra_map(m, ("a", 0)) == [[1, 0], [0, 2]]
 
 
 def test_action_compatibility_and_morphism():
     m = wedge_module()
-    ok, witness = check_action_compatibility(m)
-    assert ok, witness
-    ok, witness = check_algebra_morphism(m, ("a", 0))
-    assert ok, witness
+    v = check_action_compatibility(m)
+    assert v.ok, v.witness
+    v = check_algebra_morphism(m, ("a", 0))
+    assert v.ok, v.witness
     m2 = wedge_module("x^2+4", "1", scale=2)
-    ok, witness = check_algebra_morphism(m2, ("a", 0))
-    assert ok, witness
+    v = check_algebra_morphism(m2, ("a", 0))
+    assert v.ok, v.witness
 
 
 def test_clifford_connection_leibniz_pass_and_flat_fail():
@@ -108,21 +108,18 @@ def test_clifford_connection_leibniz_pass_and_flat_fail():
                  ({"a": "1", "b": "x^2"}, {"a": "exp(x)", "b": "x"},
                   {"a": ["x^2+1", "x"], "b": ["sin(x)", "x+1"]})]
     pts = {c: GRID for c in ("a", "b")}
-    ok, worst = check_clifford_connection(m, conn, lam_lc, batteries, pts,
-                                          1e-9)
-    assert ok, worst
+    v = check_clifford_connection(m, conn, lam_lc, batteries, pts, 1e-9)
+    assert v.ok, v.residual
     flat = Connection(m.bundle, {c: [[ZERO, ZERO], [ZERO, ZERO]]
                                  for c in ("a", "b")})
-    ok, worst = check_clifford_connection(m, flat, lam_lc, batteries, pts,
-                                          1e-9)
-    assert not ok and worst > 1.0
+    v = check_clifford_connection(m, flat, lam_lc, batteries, pts, 1e-9)
+    assert not v.ok and v.residual > 1.0
 
 
 def test_unitarity():
     m = wedge_module()
-    ok, worst = check_unitarity(m, {c: GRID for c in ("a", "b")},
-                                tol=1e-9)
-    assert ok, worst
+    v = check_unitarity(m, {c: GRID for c in ("a", "b")}, tol=1e-9)
+    assert v.ok, v.residual
 
 
 def test_apply_dirac_flat_unit_metric():
@@ -179,8 +176,8 @@ def test_splitting_random_battery():
     points = [("a", x) for x in GRID] + [("b", x) for x in GRID if x != 0]
     for _ in range(5):
         s1, s2 = compatible_sections(rng)
-        ok, worst = verify_splitting(d, s1, s2, points, 1e-10)
-        assert ok, worst
+        v = verify_splitting(d, s1, s2, points, 1e-10)
+        assert v.ok, v.residual
 
 
 def test_splitting_leg_restriction():

@@ -1,15 +1,17 @@
+import os
 from fractions import Fraction
 
 import pytest
 import sympy
 from hypothesis import example, given, strategies as st
 
+from diffwedge.cli import load_config, run
 from diffwedge.dvspace import (DvsModel, apply_form, characteristic_subspace,
                                check_dual_compatibility,
                                check_map_compatibility, dual_map, dual_metric,
                                dual_space, is_pseudo_metric,
-                               make_pseudo_metric, pairing_map,
-                               smooth_form_basis, standard_model)
+                               make_pseudo_metric, map_conditions,
+                               pairing_map, smooth_form_basis, standard_model)
 from diffwedge.linalg import (congruent_diagonal, frac_matrix, is_psd,
                               mat_mul, mat_vec, nullspace, rank, span_equal,
                               transpose)
@@ -58,19 +60,26 @@ def test_smooth_form_basis_annihilates_k_oracle():
 
 
 def test_is_pseudo_metric_worked_example():
-    v = is_pseudo_metric(M3, A3)
-    assert v.ok and v.rank == 2
+    assert is_pseudo_metric(M3, A3).ok
+    # the rank is reported with the verdict: the worked example's
+    # dual-metric report, two_planes.json carrying M3 and A3
+    cfg = load_config(os.path.join(os.path.dirname(__file__), os.pardir,
+                                   "configs", "two_planes.json"))
+    assert cfg["fibre"]["model"] == M3 and cfg["fibre"]["metric"] == A3
+    entry = run("dual-metric", cfg)[0]["verdicts"][0]
+    assert entry == {"name": "pseudo-metric", "pass": True, "reason": "",
+                     "rank": 2}
 
 
 def test_is_pseudo_metric_failures():
     assert is_pseudo_metric(standard_model(3),
                             [[1, 0, 0], [0, 1, 0], [0, 0, 1]]).ok
     v = is_pseudo_metric(M3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    assert not v.ok and "small" in v.reason
+    assert not v.ok and "small" in v.witness
     v = is_pseudo_metric(standard_model(2), [[1, 2], [3, 4]])
-    assert not v.ok and v.reason == "not symmetric"
+    assert not v.ok and v.witness == "not symmetric"
     v = is_pseudo_metric(standard_model(2), [[1, 0], [0, -1]])
-    assert not v.ok and "semidefinite" in v.reason
+    assert not v.ok and "semidefinite" in v.witness
     with pytest.raises(ValueError):
         is_pseudo_metric(M3, [[1, 0], [0, 1]])
 
@@ -129,19 +138,19 @@ def test_dual_metric_small_cases():
 def test_map_compatibility_one_dim_scaling():
     m = standard_model(1)
     # g1 = f1(0), g2 = f2(0), F = (.a): compatible iff f1(0) = a^2 f2(0)
-    assert check_map_compatibility(m, [[4]], m, [[1]], [[2]]).compatible
+    assert check_map_compatibility(m, [[4]], m, [[1]], [[2]]).ok
     v = check_map_compatibility(m, [[1]], m, [[1]], [[2]])
-    assert not v.compatible and "4" in v.witness
+    assert not v.ok and "4" in v.witness
 
 
 def test_map_compatibility_identity_and_conditions():
     m = standard_model(2)
     g = frac_matrix([[1, 0], [0, 2]])
-    v = check_map_compatibility(m, g, m, g, [[1, 0], [0, 1]])
-    assert v.compatible and v.kernel_misses_v0 and v.maps_v0_into_w0
+    assert check_map_compatibility(m, g, m, g, [[1, 0], [0, 1]]).ok
+    assert map_conditions(m, g, m, g, [[1, 0], [0, 1]]) == (True, True)
     # rank-deficient map kills part of the characteristic subspace
-    v = check_map_compatibility(m, g, m, g, [[1, 0], [0, 0]])
-    assert not v.kernel_misses_v0
+    kernel_misses_v0, _ = map_conditions(m, g, m, g, [[1, 0], [0, 0]])
+    assert not kernel_misses_v0
 
 
 def test_dual_map_one_dim():
@@ -295,13 +304,13 @@ def test_map_compatibility_exact_on_rationals_tolerant_on_floats():
     m = standard_model(1)
     # a float metric value within 1e-12 of its rational counterpart
     assert check_map_compatibility(m, [[5 / 3]], m, [[Fraction(5, 3)]],
-                                   [[1]]).compatible
+                                   [[1]]).ok
     assert not check_map_compatibility(m, [[5 / 3 + 1e-9]], m,
-                                       [[Fraction(5, 3)]], [[1]]).compatible
+                                       [[Fraction(5, 3)]], [[1]]).ok
     # rational input stays exact, however small the difference
     near = Fraction(5, 3) + Fraction(1, 10**20)
     assert not check_map_compatibility(m, [[near]], m, [[Fraction(5, 3)]],
-                                       [[1]]).compatible
+                                       [[1]]).ok
 
 
 def test_dual_metric_of_all_nonsmooth_fibre_is_empty():

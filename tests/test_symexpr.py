@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from diffwedge import symexpr
 from diffwedge.symexpr import (Add, Const, Cos, Div, Exp, ExprSyntaxError,
-                               Mul, Neg, Pow, Sin, ZERO, ONE, X,
+                               Mul, Neg, Pow, Sin, ZERO, ONE, Verdict, X,
                                differentiate, evaluate, max_residual,
                                parse_expr, simplify, to_str)
 
@@ -135,6 +135,19 @@ def test_max_residual_keeps_the_first_worst_point():
     # residuals 4, 2, 12: a strictly larger later one does move it
     worst, at = max_residual([(ZERO, X * X * X + X * X)], pts)
     assert (worst, at) == (12.0, Fraction(2)) and isinstance(worst, float)
+    # Verdict.within folds (residual, witness) samples by the same rule
+    ties = [(4.0, "x = -2"), (1.0, "x = 1"), (4.0, "x = 2")]
+    assert Verdict.within(1e-10, ties) == Verdict(False, 4.0, "x = -2")
+    assert Verdict.within(1e-10, ties + [(4.0, "next pair")]).witness \
+        == "x = -2"
+    assert Verdict.within(1e-10, [(4.0, "x = -2"), (2.0, "x = 1"),
+                                  (12.0, "x = 2")]).witness == "x = 2"
+    assert Verdict.within(0, [(0.0, "x = 1"), (0.0, "x = 2")]) \
+        == Verdict(True, 0.0, "")
+    assert Verdict.within(0, []) == Verdict(True, 0.0, "")
+    # ok exactly at residual == tol
+    assert Verdict.within(4.0, ties).ok
+    assert not Verdict.within(math.nextafter(4.0, 0), ties)
 
 
 def test_max_residual_is_zero_and_none_on_an_identity():
