@@ -56,28 +56,34 @@ def emat_kron(a, b):
             for i in range(n) for k in range(m)]
 
 
-def _minor(m, i, j):
-    return [[m[r][c] for c in range(len(m)) if c != j]
-            for r in range(len(m)) if r != i]
-
-
-def emat_det(m):
-    if not m:
+def _det(m, rows, cols, memo):
+    """Determinant of the submatrix of ``m`` on the index tuples ``rows``
+    and ``cols``, expanded along its first row.  ``memo`` maps (rows, cols)
+    to the expansion, so a submatrix reached again is not expanded again."""
+    if not rows:
         return ONE
-    if len(m) == 1:
-        return m[0][0]
-    out = ZERO
-    for j in range(len(m)):
-        term = m[0][j] * emat_det(_minor(m, 0, j))
-        out = out + term if j % 2 == 0 else out - term
-    return simplify(out)
+    if len(rows) == 1:
+        return m[rows[0]][cols[0]]
+    key = (rows, cols)
+    if key not in memo:
+        out = ZERO
+        for j, c in enumerate(cols):
+            term = m[rows[0]][c] * _det(m, rows[1:], cols[:j] + cols[j + 1:],
+                                        memo)
+            out = out + term if j % 2 == 0 else out - term
+        memo[key] = simplify(out)
+    return memo[key]
 
 
 def emat_inverse(m):
-    """Inverse by adjugate over expression entries (small fibres only)."""
+    """Inverse by adjugate over expression entries.  The determinant and
+    all n² cofactors share one memo, so each minor is expanded once."""
     n = len(m)
-    det = emat_det(m)
-    adj = [[emat_det(_minor(m, j, i)) * Const(Fraction((-1) ** (i + j)))
+    idx = tuple(range(n))
+    memo = {}
+    det = _det(m, idx, idx, memo)
+    adj = [[_det(m, idx[:j] + idx[j + 1:], idx[:i] + idx[i + 1:], memo)
+            * Const(Fraction((-1) ** (i + j)))
             for j in range(n)] for i in range(n)]
     return [[simplify(adj[i][j] / det) for j in range(n)] for i in range(n)]
 

@@ -416,8 +416,9 @@ def run(command, cfg, seed=0, tol=None):
     report = {"command": command, "name": cfg["name"], "seed": seed,
               "verdicts": [], "values": {}}
     # report runs every block the config has, each once
-    if command in ("check", "report") and cfg["gluings"]:
-        verdicts, _ = _glued_suite(cfg, seed, tol)
+    glued = command in ("check", "report") and bool(cfg["gluings"])
+    if glued:
+        verdicts, module = _glued_suite(cfg, seed, tol)
         report["verdicts"] += verdicts
     if command in ("check", "dual-metric", "report"):
         if cfg["fibre"] is not None:
@@ -444,7 +445,8 @@ def run(command, cfg, seed=0, tol=None):
             raise ConfigError("clifford-table needs a fibre block with a metric")
     if command in ("dirac", "report"):
         if cfg["dirac"] is not None:
-            gate, module = _build_module(cfg)
+            if not glued:   # else the glued suite built it or failed its gate
+                gate, module = _build_module(cfg)
             if module is None:
                 if command == "dirac":      # report's glued suite says so
                     report["verdicts"].append(_verdict(

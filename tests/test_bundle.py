@@ -2,8 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
-from diffwedge import symexpr
+from diffwedge import bundle, symexpr
 from diffwedge.bundle import (Section, direct_sum, dual_bundle, emat_block_sum,
                               emat_inverse,
                               eval_matrix, expr_matrix, glue_bundles,
@@ -150,6 +151,121 @@ def test_emat_inverse_round_trip():
     for x in [Fraction(0), Fraction(1), Fraction(-2)]:
         got = mat_mul(eval_matrix(m, x), eval_matrix(inv, x))
         assert got == identity(2)
+
+
+def _inverse_by_laplace(m):
+    """The O(n!) emat_inverse that the memoized expansion replaced: every
+    determinant and cofactor expands its minors afresh.  Same term order
+    and signs, so it must give the same tree entry for entry."""
+    def minor(m, i, j):
+        return [[m[r][c] for c in range(len(m)) if c != j]
+                for r in range(len(m)) if r != i]
+
+    def det(m):
+        if not m:
+            return symexpr.ONE
+        if len(m) == 1:
+            return m[0][0]
+        out = symexpr.ZERO
+        for j in range(len(m)):
+            term = m[0][j] * det(minor(m, 0, j))
+            out = out + term if j % 2 == 0 else out - term
+        return symexpr.simplify(out)
+
+    n = len(m)
+    d = det(m)
+    adj = [[det(minor(m, j, i)) * symexpr.Const(Fraction((-1) ** (i + j)))
+            for j in range(n)] for i in range(n)]
+    return [[symexpr.simplify(adj[i][j] / d) for j in range(n)]
+            for i in range(n)]
+
+
+def _tridiagonal(n):
+    return [[f"x^2+{i + 2}" if i == j else "x" if abs(i - j) == 1 else "0"
+             for j in range(n)] for i in range(n)]
+
+
+_ENTRIES = ["0", "0", "1", "-2", "1/3", "x", "x^2+1", "2*x-1", "1/(x+2)",
+            "exp(x)", "cos(x)", "x*exp(x)"]
+
+
+@st.composite
+def _entry_matrices(draw):
+    """Square matrices of entry strings, n <= 5, some rows constant."""
+    n = draw(st.integers(1, 5))
+    entry = st.sampled_from(_ENTRIES)
+    constant = st.sampled_from(["0", "1", "-2", "1/3"]).map(lambda c: [c] * n)
+    return [draw(st.one_of(st.lists(entry, min_size=n, max_size=n), constant))
+            for _ in range(n)]
+
+
+@given(_entry_matrices())
+@example([["0"]])
+@example([["x^2+1", "x"], ["0", "2"]])
+@example([["1", "1", "1"], ["x", "exp(x)", "0"], ["cos(x)", "0", "x^2+1"]])
+@example([["x", "0", "1/(x+2)", "0"], ["0", "cos(x)", "0", "1"],
+          ["-2", "0", "x*exp(x)", "x"], ["1/3", "1/3", "1/3", "1/3"]])
+@example(_tridiagonal(5))
+def test_emat_inverse_matches_the_laplace_oracle(strings):
+    inv = emat_inverse(expr_matrix(strings))
+    want = _inverse_by_laplace(expr_matrix(strings))
+    assert [[repr(e) for e in row] for row in inv] == \
+        [[repr(e) for e in row] for row in want]
+    if any(f in s for row in strings for s in row for f in ("exp", "cos")):
+        return
+    m, n = expr_matrix(strings), len(strings)
+    for x in [Fraction(1, 3), Fraction(-5, 7), Fraction(2)]:
+        try:
+            got = mat_mul(eval_matrix(m, x), eval_matrix(inv, x))
+        except ZeroDivisionError:       # M(x) is singular
+            continue
+        assert got == identity(n)
+        assert all(type(v) is Fraction for row in got for v in row)
+
+
+def test_emat_inverse_expands_each_minor_once(monkeypatch):
+    # one simplify per distinct submatrix of size >= 2 that first-row
+    # expansion reaches from the determinant and the n^2 cofactors, plus
+    # one per entry; re-expanding every cofactor took 3649 calls at n = 6
+    n = 6
+    m = expr_matrix(_tridiagonal(n))
+    calls = []
+    simplify = bundle.simplify
+    monkeypatch.setattr(bundle, "simplify",
+                        lambda e: calls.append(e) or simplify(e))
+    emat_inverse(m)
+    idx = tuple(range(n))
+    todo = [(idx, idx)] + [(idx[:j] + idx[j + 1:], idx[:i] + idx[i + 1:])
+                           for i in range(n) for j in range(n)]
+    reached = set()
+    while todo:
+        rows, cols = todo.pop()
+        if len(rows) >= 2 and (rows, cols) not in reached:
+            reached.add((rows, cols))
+            todo += [(rows[1:], cols[:j] + cols[j + 1:])
+                     for j in range(len(cols))]
+    assert len(calls) == len(reached) + n * n == 273
+
+
+def test_dual_of_a_three_by_three_tensor_product():
+    # the dual metric of a 3 (x) 3 fibre is a 9x9 symbolic inverse
+    base = line("a")
+    v = trivial_bundle(base, {"a": standard_model(3)},
+                       {"a": [["x^2+2", "x", "0"], ["x", "x^2+3", "1"],
+                              ["0", "1", "2"]]})
+    w = trivial_bundle(base, {"a": standard_model(3)},
+                       {"a": [["3", "x-1", "0"], ["x-1", "x^2+4", "x"],
+                              ["0", "x", "1"]]})
+    t = tensor_product(v, w)
+    d = dual_bundle(t)
+    assert d.fibres["a"].dim == 9
+    x = Fraction(1, 3)
+    g = eval_matrix(t.metrics["a"], x)
+    row = [symexpr.evaluate(e, x) for e in d.metrics["a"][0]]
+    # row 0 of M^-1(x) M(x) only: a first evaluation walks each entry as
+    # a tree, about 3.7M nodes for all 81
+    assert [sum(row[k] * g[k][j] for k in range(9)) for j in range(9)] == \
+        identity(9)[0]
 
 
 def test_induced_metric_two_case_and_rank():

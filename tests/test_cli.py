@@ -249,6 +249,20 @@ def test_report_runs_the_fibre_suite_once(monkeypatch):
     assert names.count("dual-metric-defining-identity") == 1
 
 
+@pytest.mark.parametrize("command", ["report", "dirac"])
+def test_exterior_module_is_built_once(monkeypatch, command):
+    # report's Dirac block reuses the module its glued suite built
+    from diffwedge import cli
+    calls = Counter()
+    for name in ("lambda1", "exterior_module"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, _name=name, _real=real:
+                            calls.update([_name]) or _real(*a))
+    report, code = run(command, load_config(cfg_path("wedge_dirac.json")))
+    assert code == 0 and report["values"]["dirac"]
+    assert calls == Counter(lambda1=2, exterior_module=1)
+
+
 @pytest.mark.parametrize("command", ["clifford-table", "report", "check"])
 def test_metric_that_is_not_a_pseudo_metric_fails_its_verdict(tmp_path, capsys,
                                                               command):
