@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -46,6 +47,18 @@ def _frac(v):
     raise ConfigError(f"not a rational number: {v!r}")
 
 
+def _tol(v):
+    """``v`` as a tolerance: a finite float >= 0, or a config error."""
+    if not isinstance(v, bool):
+        try:
+            tol = float(v)
+        except (TypeError, ValueError):
+            raise ConfigError(f"/tol: not a number: {v!r}")
+        if math.isfinite(tol) and tol >= 0:
+            return tol
+    raise ConfigError(f"/tol: must be a finite number >= 0, not {v!r}")
+
+
 def _expr(text, where):
     try:
         return as_expr(text)
@@ -71,11 +84,7 @@ def load_config(path):
         raise ConfigError(f"config is not valid JSON: {exc}")
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
-    try:
-        tol = float(raw.get("tol", 1e-10))
-    except (TypeError, ValueError):
-        raise ConfigError(f"/tol: not a number: {raw['tol']!r}")
-    cfg = {"name": raw.get("name", ""), "tol": tol}
+    cfg = {"name": raw.get("name", ""), "tol": _tol(raw.get("tol", 1e-10))}
     charts = []
     for i, c in enumerate(_array(raw, "charts", "/charts")):
         if "id" not in c:
@@ -209,12 +218,15 @@ def _chart_index(cfg, cid):
 
 
 def _h_at(cfg, cid, x):
-    """h of chart ``cid`` at x; a zero divisor there is a config error."""
+    """h of chart ``cid`` at x; a zero divisor or a float overflow there is
+    a config error."""
     i = _chart_index(cfg, cid)
     try:
         return symexpr.evaluate(cfg["charts"][i]["h"], x)
-    except ZeroDivisionError as exc:
+    except ZeroDivisionError as exc:        # its message names the point
         raise ConfigError(f"/charts/{i}/h: {exc}")
+    except ArithmeticError as exc:
+        raise ConfigError(f"/charts/{i}/h: {exc} at x={x}")
 
 
 def _check_h_on(cfg, points):
@@ -244,15 +256,18 @@ def _build_module(cfg):
         try:
             lams.append(lambda1(WedgeComplex((Chart(cid),)),
                                 {cid: cfg["charts"][i]["h"]}))
-        except (ValueError, ZeroDivisionError) as exc:
+        except (ValueError, ArithmeticError) as exc:
             raise ConfigError(f"/charts/{i}/h: {exc}")
     (c1, x1), (c2, x2) = g["from"], g["to"]
     a = g["scale"]
     h1 = _h_at(cfg, c1, x1)
     h2 = _h_at(cfg, c2, x2)
-    gate = Verdict(abs(float(h1 - a * a * h2)) <= 1e-12,
-                   witness=f"h[{c1}]({x1}) = {float(h1):.6g}, "
-                           f"scale^2 h[{c2}]({x2}) = {float(a * a * h2):.6g}")
+    try:
+        gate = Verdict(abs(float(h1 - a * a * h2)) <= 1e-12,
+                       witness=f"h[{c1}]({x1}) = {float(h1):.6g}, "
+                               f"scale^2 h[{c2}]({x2}) = {float(a * a * h2):.6g}")
+    except ArithmeticError as exc:
+        raise ConfigError(f"/gluings/0: metric-glue gate: {exc}")
     return gate, (exterior_module(*lams, [(g["from"], g["to"])], a)
                   if gate else None)
 
@@ -459,7 +474,7 @@ def run(command, cfg, seed=0, tol=None):
                     for k, p in enumerate(cfg["dirac"]["points"]):
                         try:    # h may divide by zero where no checker looks
                             row[f"{p[0]}@{p[1]}"] = dirac_value_at(d, comp, p)
-                        except ZeroDivisionError as exc:
+                        except ArithmeticError as exc:
                             raise ConfigError(f"/dirac/points/{k}: {exc}")
                     out.append(row)
                 report["values"]["dirac"] = out
@@ -483,8 +498,9 @@ def main(argv=None):
     parser.add_argument("--tol", type=float, default=None)
     args = parser.parse_args(argv)
     try:
+        tol = None if args.tol is None else _tol(args.tol)
         cfg = load_config(args.config)
-        report, code = run(args.command, cfg, args.seed, args.tol)
+        report, code = run(args.command, cfg, args.seed, tol)
     except (ConfigError, ExprSyntaxError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

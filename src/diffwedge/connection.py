@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import symexpr
-from .symexpr import ZERO, Verdict, max_residual, simplify
+from .symexpr import ZERO, Verdict, max_residuals, simplify
 from .bundle import PseudoBundle, as_expr, emat_block_sum, emat_kron, \
     eval_vector
 from .forms import OneFormBundle
@@ -126,12 +126,11 @@ def torsion(conn_fields, t1, t2):
 
 def _chartwise(groups, points, tol):
     """Verdict on (chart id, [(lhs, rhs), ...]) ``groups`` sampled at their
-    chart's points; the witness is the chart and point of the worst."""
-    def samples():
-        for cid, sides in groups:
-            r, x = max_residual(sides, points.get(cid, []))
-            yield r, f"chart {cid}, x = {x}"
-    return Verdict.within(tol, samples())
+    chart's points, each chart's sides in one pass per point; the witness
+    is the chart and point of the worst."""
+    worst = max_residuals(groups, points)
+    return Verdict.within(tol, ((r, f"chart {cid}, x = {x}")
+                                for (cid, _), (r, x) in zip(groups, worst)))
 
 
 def is_symmetric_connection(conn_fields, fields, points, tol=1e-10):

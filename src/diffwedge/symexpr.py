@@ -341,21 +341,22 @@ def evaluate(e, x):
     meets a float the way a ``Fraction`` does, as ``n / d``, so float
     results equal those of ``Fraction`` arithmetic to the bit.
 
-    The first evaluation of a node walks its tree; later ones run a tape
-    compiled once for the node, which computes each structurally distinct
-    subtree once, with the walk's operations in the walk's order.
+    The first evaluation of a node walks it, computing each subtree object
+    once; later ones run a tape compiled once for the node, which computes
+    each structurally distinct subtree once, with the walk's operations in
+    the walk's order.
     """
-    v = (x.numerator, x.denominator) if isinstance(x, (int, Fraction)) else x
+    v = _value(x)
     tape = e._tape
     try:
         if tape is None:
             if e.children:
                 e._tape = False
-            v = _walk(e, v)
+            v = _walk(e, v, {})
         else:
             if tape is False:
-                tape = e._tape = _compile(e)
-            v = _run(tape, v)
+                tape = e._tape = _compile([e])
+            (v,) = _run(tape, v)
     except ZeroDivisionError as exc:
         raise ZeroDivisionError(f"{exc} at x={x}") from None
     return Fraction(*v) if type(v) is tuple else v
@@ -436,27 +437,40 @@ _OPS = {Neg: _neg, Add: _add, Mul: _mul, Div: _div, Pow: _pow, Exp: _exp,
         Sin: _sin, Cos: _cos}
 
 
-def _walk(e, x):
-    """Value of ``e`` at the value ``x`` by recursion over the tree."""
+def _value(x):
+    """The point ``x`` as a value: an int pair, or the float itself."""
+    return (x.numerator, x.denominator) if isinstance(x, (int, Fraction)) else x
+
+
+def _walk(e, x, memo):
+    """Value of ``e`` at the value ``x`` by recursion over the tree; ``memo``
+    maps id(node) to the value of each composite node walked so far, so a
+    subtree object shared within ``e`` is computed, and raises, once."""
     kids = e.children
     if not kids:
         return e.value.as_integer_ratio() if type(e) is Const else x
-    a = _walk(kids[0], x)
-    if type(e) is Pow:
-        return _pow(a, e.exponent)
-    return _OPS[type(e)](a, _walk(kids[1], x) if len(kids) == 2 else None)
+    v = memo.get(id(e))
+    if v is None:
+        a = _walk(kids[0], x, memo)
+        if type(e) is Pow:
+            v = _pow(a, e.exponent)
+        else:
+            v = _OPS[type(e)](a, _walk(kids[1], x, memo) if len(kids) == 2 else None)
+        memo[id(e)] = v
+    return v
 
 
-def _compile(e):
-    """Tape of ``e``: (registers, register of x or None, instructions).
+def _compile(roots):
+    """Tape of the expressions ``roots``: (registers, register of x or None,
+    instructions, register of each root).
 
     The registers start as the distinct constants, the distinct exponents
     and a slot for x.  Each instruction ``(operation, a, b)`` appends the
     value of one structurally distinct composite subtree, computed from
     registers a and b (b = a for a unary operation), in the order of first
-    occurrence in the walk's children-first traversal, so the last
-    register holds e.  A walk that raises at a subtree raises at its first
-    occurrence, and no earlier subtree raises, so the tape raises at the
+    occurrence in the walk's children-first traversal of each root in
+    turn.  A walk that raises at a subtree raises at its first occurrence,
+    and no earlier subtree raises, so the tape of one root raises at the
     same subtree.
     """
     registers, code = [], []
@@ -478,9 +492,9 @@ def _compile(e):
             if not kids:
                 r = leaf(n.value.as_integer_ratio() if type(n) is Const else None)
             else:
-                op = _OPS[type(n)]
                 a = visit(kids[0])
-                key = (op, a, leaf(n.exponent) if op is _pow else visit(kids[-1]))
+                key = (_OPS[type(n)], a,
+                       leaf(n.exponent) if type(n) is Pow else visit(kids[-1]))
                 r = classes.get(key)
                 if r is None:
                     r = classes[key] = ~len(code)
@@ -489,25 +503,27 @@ def _compile(e):
         return r
 
     try:
-        visit(e)
+        outs = [visit(e) for e in roots]
     finally:
         del visit          # it refers to itself through its closure cell
     top = len(registers)     # instruction j appends register top + j
     code = [(op, a if a >= 0 else top + ~a, b if b >= 0 else top + ~b)
             for op, a, b in code]
-    return registers, leaves.get(None), code
+    return (registers, leaves.get(None), code,
+            [r if r >= 0 else top + ~r for r in outs])
 
 
 def _run(tape, x):
-    """Value of a compiled tape at the value ``x``; see ``_compile``."""
-    registers, var, code = tape
+    """Values of a compiled tape's roots at the value ``x``; see
+    ``_compile``."""
+    registers, var, code, outs = tape
     r = registers[:]
     if var is not None:
         r[var] = x
     push = r.append
     for op, a, b in code:
         push(op(r[a], r[b]))
-    return r[-1]
+    return [r[i] for i in outs]
 
 
 def _first_worst(samples):
@@ -520,14 +536,50 @@ def _first_worst(samples):
     return worst, at
 
 
-def max_residual(pairs, points):
-    """Worst sampled residual of the identities ``lhs = rhs`` in ``pairs``.
+def max_residuals(groups, points):
+    """Worst sampled residual of each (key, [(lhs, rhs), ...]) group.
 
-    The residual at x is ``float(abs(lhs(x) - rhs(x)))``.  Returns
-    (worst, x) by the rule of ``_first_worst``.
+    A group's identities are sampled at ``points[key]`` (none when the key
+    is absent).  The residual at x is ``float(abs(lhs(x) - rhs(x)))``, and
+    each group's (worst, x) is taken over its pairs, then its points, by
+    the rule of ``_first_worst``.
+
+    Every side of every group on one key is compiled into one tape, which
+    runs once per point, so a subtree shared by any sides is computed once
+    per point.  A side that raises at some point raises with the first
+    point at which any side of its key raises.
     """
-    return _first_worst((float(abs(evaluate(lhs, x) - evaluate(rhs, x))), x)
-                        for lhs, rhs in pairs for x in points)
+    sides = {}         # key -> every side of its groups, pair by pair
+    for key, pairs in groups:
+        sides.setdefault(key, []).extend(s for pair in pairs for s in pair)
+    residuals = {}     # key -> per point, the residual of each pair
+    for key, roots in sides.items():
+        xs = points.get(key, ())
+        tape = _compile(roots) if xs else None
+        rows = residuals[key] = []
+        for x in xs:
+            try:
+                v = _run(tape, _value(x))
+            except ZeroDivisionError as exc:
+                raise ZeroDivisionError(f"{exc} at x={x}") from None
+            # exactly float(abs(Fraction(lhs) - Fraction(rhs))): n / d is
+            # correctly rounded, and a float meets -rhs as it meets rhs
+            rows.append([abs(_float(_add(v[i], _neg(v[i + 1], None))))
+                         for i in range(0, len(v), 2)])
+    out = []
+    start = dict.fromkeys(sides, 0)     # key -> its next group's first pair
+    for key, pairs in groups:
+        rows, xs, i = residuals[key], points.get(key, ()), start[key]
+        start[key] = i + len(pairs)
+        out.append(_first_worst((row[j], x) for j in range(i, i + len(pairs))
+                                for x, row in zip(xs, rows)))
+    return out
+
+
+def max_residual(pairs, points):
+    """Worst sampled residual of the identities ``lhs = rhs`` in ``pairs``
+    at ``points``: the one-group case of ``max_residuals``."""
+    return max_residuals([(None, pairs)], {None: points})[0]
 
 
 @dataclass(frozen=True)

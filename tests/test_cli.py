@@ -127,6 +127,64 @@ def test_malformed_values_exit_two(tmp_path, capsys, command, data, pointer):
     assert pointer in capsys.readouterr().err
 
 
+def _shipped(name, **changes):
+    with open(cfg_path(name)) as fh:
+        return {**json.load(fh), **changes}
+
+
+@pytest.mark.parametrize("tol, argv", [
+    (-1, []), (float("nan"), []), (float("inf"), []), ("nan", []),
+    ("-inf", []), ("1e400", []), (True, []), (False, []),
+    (None, ["--tol", "nan"]), (None, ["--tol", "-1"]), (None, ["--tol", "inf"]),
+], ids=["negative", "nan", "inf", "nan-string", "minus-inf-string",
+        "overflowing-string", "true", "false", "option-nan", "option-negative",
+        "option-inf"])
+def test_unusable_tol_exits_two(tmp_path, capsys, tol, argv):
+    data = _shipped("two_planes.json", **({} if tol is None else {"tol": tol}))
+    assert main(["check", write_cfg(tmp_path, data), *argv]) == 2
+    err = capsys.readouterr().err
+    assert "/tol: " in err and "Traceback" not in err
+
+
+def test_zero_and_string_tol_are_usable(tmp_path, capsys):
+    p = write_cfg(tmp_path, _shipped("wedge_dirac.json", tol="1e-10"))
+    assert main(["check", p]) == 0
+    assert main(["check", p, "--tol", "0"]) in (0, 1)
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command, data, pointer", [
+    ("check", {"charts": [{"id": "a", "h": "exp(x)"}, {"id": "b", "h": "1"}],
+               "gluings": [{"points": [["a", "1e400"], ["b", 0]]}]},
+     "/charts/0/h"),
+    # the metric-glue gate's difference and its witness overflow
+    ("check", {"charts": [{"id": "a", "h": "x^2+1"}, {"id": "b", "h": "1"}],
+               "gluings": [{"points": [["a", "1e200"], ["b", 0]]}]},
+     "/gluings/0"),
+    ("check", {"charts": [{"id": "a", "h": "x^2+1"}, {"id": "b", "h": "x^2+1"}],
+               "gluings": [{"points": [["a", "1e200"], ["b", "1e200"]]}]},
+     "/gluings/0"),
+    ("check", {"charts": [{"id": "a"}, {"id": "b"}],
+               "gluings": [{"points": [["a", 0], ["b", 0]], "scale": "1e400"}]},
+     "/gluings/0"),
+    # lambda1's positivity grid reaches x = 2, where h overflows
+    ("check", {"charts": [{"id": "a", "h": "exp(exp(exp(x)))"},
+                          {"id": "b", "h": "1"}],
+               "gluings": [{"points": [["a", 0], ["b", 0]]}]},
+     "/charts/0/h"),
+    ("dirac", {**_shipped("wedge_dirac.json"),
+               "dirac": {**_shipped("wedge_dirac.json")["dirac"],
+                         "points": [["c1", "0"], ["c1", "1e400"]]}},
+     "/dirac/points/1"),
+], ids=["h-at-glue-point", "gate-difference", "gate-witness", "scale",
+        "h-on-lambda1-grid", "dirac-point"])
+def test_float_overflow_is_a_config_error(tmp_path, capsys, command, data,
+                                          pointer):
+    assert main([command, write_cfg(tmp_path, data)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {pointer}: " in err and "Traceback" not in err
+
+
 def test_config_validation_paths(tmp_path):
     with pytest.raises(ConfigError, match="/fibre/dim"):
         load_config(write_cfg(tmp_path, {"fibre": {"dim": 0}}))

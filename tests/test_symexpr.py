@@ -1,16 +1,18 @@
 import gc
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from diffwedge import symexpr
+from diffwedge.connection import _chartwise
 from diffwedge.symexpr import (Add, Const, Cos, Div, Exp, ExprSyntaxError,
                                Mul, Neg, Pow, Sin, ZERO, ONE, Verdict, X,
                                differentiate, evaluate, max_residual,
-                               parse_expr, simplify, to_str)
+                               max_residuals, parse_expr, simplify, to_str)
 
 
 def test_parse_and_exact_eval():
@@ -342,6 +344,172 @@ def test_caches_make_no_reference_cycles():
 def test_nodes_have_no_instance_dict():
     for e in (X, ONE, parse_expr("-exp(x)^2/sin(x)+cos(x)*x")):
         assert not hasattr(e, "__dict__")
+
+
+def test_first_evaluation_walks_a_shared_node_once():
+    # 64 doublings of one object: a tree of 2^65 - 1 nodes, a DAG of 65
+    e = X
+    for _ in range(64):
+        e = e + e
+    for x in (Fraction(1, 3), Fraction(1, 3), 0.5):    # the walk, then the tape
+        assert evaluate(e, x) == 2 ** 64 * x
+    assert isinstance(e._tape, tuple)
+
+
+# ---------------------------------------------------------------------------
+# the joint sampler; the scalar loop it replaced is the reference
+
+def _scalar_max_residual(pairs, points):
+    """(worst, at) by one evaluate per side and point, pair by pair."""
+    worst, at = 0.0, None
+    for lhs, rhs in pairs:
+        for x in points:
+            r = float(abs(evaluate(lhs, x) - evaluate(rhs, x)))
+            if r > worst:
+                worst, at = r, x
+    return worst, at
+
+
+def _first_failure(groups, points):
+    """What the joint sampler raises, from the scalar evaluations: on the
+    first key, at the first point, the first side's error, else the first
+    pair's residual error; None when nothing raises."""
+    sides = {}
+    for key, pairs in groups:
+        sides.setdefault(key, []).extend(pairs)
+    for key, pairs in sides.items():
+        for x in points.get(key, ()):
+            for side in (s for pair in pairs for s in pair):
+                try:
+                    evaluate(side, x)
+                except (ArithmeticError, ValueError) as exc:
+                    return type(exc), str(exc)
+            for lhs, rhs in pairs:
+                try:
+                    float(abs(evaluate(lhs, x) - evaluate(rhs, x)))
+                except (ArithmeticError, ValueError) as exc:
+                    return type(exc), str(exc)
+    return None
+
+
+def _bits(worst_at):
+    worst, at = worst_at
+    return worst.hex(), type(at), at
+
+
+# polynomials of degree <= 3, whose exact residuals are rarely dyadic
+polys = st.lists(st.fractions(-3, 3, max_denominator=7), min_size=1,
+                 max_size=4).map(lambda cs: sum((Const(c) * Pow(X, k)
+                                                for k, c in enumerate(cs)),
+                                               ZERO))
+
+
+@st.composite
+def sampled_groups(draw):
+    """(groups, points, tol) on charts a and b: sides drawn from a small
+    pool as the same object, an equal copy or a tree over pool members, so
+    sides share subtrees; pairs drawn from a small pool, so groups on both
+    charts repeat them and residuals tie; points of every kind, repeated,
+    shared by both charts or none."""
+    pool = draw(st.lists(st.one_of(rich, polys), min_size=1, max_size=3))
+    member = st.sampled_from(pool)
+    op = st.sampled_from([Add, Mul, Div])
+    side = st.one_of(
+        member, member.map(_copy), st.sampled_from([X, ZERO, ONE]),
+        st.tuples(member, member, op).map(lambda t: t[2](t[0], t[1])),
+        st.tuples(member, op).map(lambda t: t[1](t[0], X)),
+        st.tuples(member, st.sampled_from([-2, -1, Neg, Exp, Cos]))
+          .map(lambda t: _unary(*t)))
+    pairs = st.sampled_from(draw(st.lists(st.tuples(side, side),
+                                          min_size=1, max_size=3)))
+    groups = draw(st.lists(
+        st.tuples(st.sampled_from("ab"), st.lists(pairs, max_size=3)),
+        min_size=2, max_size=6))
+    xs = st.lists(st.one_of(points, st.sampled_from([0, Fraction(1, 2), -1.5])),
+                  min_size=2, max_size=5)
+    pts = {"a": draw(xs)}
+    if draw(st.integers(0, 3)):           # else chart b has no points entry
+        pts["b"] = draw(st.one_of(st.just(pts["a"]), xs, st.just([])))
+    return groups, pts, draw(st.sampled_from([0.0, 1e-10, 1.0]))
+
+
+@settings(deadline=None)
+@given(sampled_groups())
+# chart b's group ties a later group of chart a
+@example(([("a", [(X, X)]), ("b", [(X * X, ZERO)]), ("a", [(X * X, ZERO)])],
+          {"a": [-2, 2], "b": [2, -2]}, 1.0))
+# an exact residual that float(lhs) - float(rhs) rounds differently
+@example(([("a", [(ONE, Const(Fraction(1, 3)))])], {"a": [0, 1]}, 0.0))
+# a composite side whose value changes from point to point
+@example(([("a", [(X * X + 1, ZERO)])], {"a": [1, 3, 2]}, 0.0))
+def test_joint_sampler_matches_the_scalar_loop(case):
+    groups, pts, tol = case
+    failure = _first_failure(groups, pts)
+    if failure is not None:
+        with pytest.raises((ArithmeticError, ValueError)) as exc:
+            max_residuals(groups, pts)
+        assert (exc.type, str(exc.value)) == failure
+        with pytest.raises(exc.type):
+            _chartwise(groups, pts, tol)
+        return
+    want = [_scalar_max_residual(pairs, pts.get(key, []))
+            for key, pairs in groups]
+    got = max_residuals(groups, pts)
+    assert list(map(_bits, got)) == list(map(_bits, want))
+    assert _chartwise(groups, pts, tol) == Verdict.within(
+        tol, ((r, f"chart {key}, x = {x}")
+              for (key, _), (r, x) in zip(groups, want)))
+    for (key, pairs), w in zip(groups, want):
+        assert _bits(max_residual(pairs, pts.get(key, []))) == _bits(w)
+
+
+def test_joint_sampler_keeps_group_order_and_exact_residuals():
+    # chart b's group comes first and ties chart a's later one
+    groups = [("a", [(X, X)]), ("b", [(X * X, ZERO)]), ("a", [(X * X, ZERO)])]
+    pts = {"a": [Fraction(-2), Fraction(2)], "b": [Fraction(2), Fraction(-2)]}
+    assert max_residuals(groups, pts) == [(0.0, None), (4.0, Fraction(2)),
+                                          (4.0, Fraction(-2))]
+    assert _chartwise(groups, pts, 1) == Verdict(False, 4.0, "chart b, x = 2")
+    # the exact difference, not float(1) - float(1/3)
+    third = Const(Fraction(1, 3))
+    assert float(1) - float(Fraction(1, 3)) != float(Fraction(2, 3))
+    assert max_residual([(ONE, third)], [0]) == (float(Fraction(2, 3)), 0)
+    # registers start afresh at each point
+    assert max_residuals([("a", [(X * X + 1, ZERO)])], {"a": [1, 3, 2]}) \
+        == [(10.0, 3)]
+
+
+def test_joint_sampler_names_the_first_failing_point():
+    # 1/(x-1) fails at 1 and x^-2 at 0; the points come in the order 1/2, 0, 1
+    groups = [("a", [(Div(ONE, X - 1), ZERO)]), ("a", [(Pow(X, -2), ONE)])]
+    pts = {"a": [Fraction(1, 2), Fraction(0), Fraction(1)]}
+    with pytest.raises(ZeroDivisionError, match="^zero raised to -2 at x=0$"):
+        max_residuals(groups, pts)
+    with pytest.raises(ZeroDivisionError, match="at x=1$"):
+        max_residuals(groups[:1], pts)
+    assert max_residuals(groups, {"b": pts["a"]}) == [(0.0, None)] * 2
+
+
+def test_chartwise_computes_a_repeated_side_once_per_point(monkeypatch):
+    # the value numbering: ten groups over equal sides run the side's
+    # distinct operations once per point, not once per group and side
+    calls = Counter()
+    for kind, op in list(symexpr._OPS.items()):
+        def counted(a, b, kind=kind, op=op):
+            calls[kind] += 1
+            return op(a, b)
+        monkeypatch.setitem(symexpr._OPS, kind, counted)
+    text = "(x^2+1)/(x-3)*exp(x) - cos(2*x)^-2"
+    groups = [("a", [(parse_expr(text), parse_expr(text))]) for _ in range(10)]
+    pts = {"a": [Fraction(i, 5) for i in range(-4, 5)]}
+    assert _chartwise(groups, pts, 0) == Verdict(True, 0.0, "")
+
+    def composite(e):
+        return {e}.union(*map(composite, e.children)) if e.children else set()
+
+    side = parse_expr(text)
+    assert sum(calls.values()) == len(composite(side)) * len(pts["a"])
+    assert calls[Exp] == calls[Cos] == len(pts["a"])
 
 
 # ---------------------------------------------------------------------------
