@@ -9,9 +9,9 @@ wedge point itself.
 from fractions import Fraction
 
 from diffwedge.dirac import (check_action_compatibility, check_unitarity,
-                             clifford_connection, dirac, dirac_value_at,
-                             exterior_module, glue_dirac,
-                             single_chart_module, verify_splitting)
+                             dirac, dirac_value_at, exterior_module,
+                             glue_dirac, single_chart_module,
+                             verify_splitting)
 from diffwedge.forms import lambda1
 from diffwedge.wedge import line
 
@@ -23,8 +23,8 @@ v = check_action_compatibility(module)
 print("leg actions compatible through the glue map:", v.ok)
 
 m1, m2 = single_chart_module(lam1), single_chart_module(lam2)
-d1 = dirac(m1, clifford_connection(m1))
-d2 = dirac(m2, clifford_connection(m2))
+d1 = dirac(m1)
+d2 = dirac(m2)
 d = glue_dirac(d1, d2, module)
 
 # sections matching at the wedge: u1(0) = u2(0), w1(0) = w2(0)

@@ -18,7 +18,8 @@ from . import symexpr
 from .symexpr import Const, Expr, ZERO, ONE, simplify
 from .dvspace import DvsModel, check_map_compatibility, dual_metric, standard_model
 from .linalg import frac_matrix, identity, inverse, mat_vec, transpose
-from .wedge import Gluing, WedgeComplex, _as_point
+from .wedge import Gluing, WedgeComplex, _as_point, glue_complexes, \
+    switch_map
 
 
 def as_expr(v):
@@ -96,9 +97,6 @@ class PseudoBundle:
     gluing: Gluing | None = None
     glue_maps: tuple = ()   # per glue class: (rep point, {point: matrix})
 
-    def fibre(self, cid):
-        return self.fibres[cid]
-
     def rep_point(self, class_index):
         return self.glue_maps[class_index][0]
 
@@ -130,6 +128,12 @@ def trivial_bundle(base, fibres, metrics):
     return PseudoBundle(base, fibres, metrics, None, tuple(glue))
 
 
+def _rep(gluing, cls):
+    """Representative of the glue class ``cls``: its last point on the
+    second leg of ``gluing``."""
+    return [p for p in cls if gluing.leg_of_chart(p[0]) == 2][-1]
+
+
 def glue_bundles(b1, b2, f, ftilde):
     """Glue two bundles along a point bijection ``f`` and fibre maps.
 
@@ -138,8 +142,6 @@ def glue_bundles(b1, b2, f, ftilde):
     matrix is broadcast).  Metric compatibility through each map is
     checked exactly at the glue coordinates.
     """
-    from .wedge import glue_complexes
-
     gluing = glue_complexes(b1.base, b2.base, f)
     pairs = gluing.pairs
     if not isinstance(ftilde, dict):
@@ -148,8 +150,7 @@ def glue_bundles(b1, b2, f, ftilde):
     metrics = {**b1.metrics, **b2.metrics}
     glue = []
     for cls in gluing.result.glue_classes:
-        leg2 = [p for p in cls if gluing.leg_of_chart(p[0]) == 2]
-        rep = leg2[-1]
+        rep = _rep(gluing, cls)
         maps = {}
         for p in cls:
             if p == rep:
@@ -195,11 +196,10 @@ class Section:
         return self.chart_value(rep[0], rep[1])
 
 
-def make_section(bundle, components, check=True):
+def make_section(bundle, components):
     comps = {c: [as_expr(e) for e in v] for c, v in components.items()}
     s = Section(bundle, comps)
-    if check:
-        _check_section(s)
+    _check_section(s)
     return s
 
 
@@ -221,7 +221,7 @@ def _check_section(s):
 def glue_sections(bundle, s1_components, s2_components):
     """Join per-leg component maps into one section of the glued bundle."""
     comps = {**s1_components, **s2_components}
-    return make_section(bundle, comps, check=True)
+    return make_section(bundle, comps)
 
 
 def split_section(s):
@@ -301,21 +301,18 @@ def dual_bundle(v):
         if m.k_dim == 0:
             metrics[c] = emat_inverse(v.metrics[c])
         else:
-            g0 = eval_matrix(v.metrics[c], 0)
-            if any(not isinstance(x, Fraction) for row in g0 for x in row):
+            g = [[simplify(e) for e in row] for row in v.metrics[c]]
+            if not all(isinstance(e, Const) for row in g for e in row):
                 raise ValueError("dual of a non-standard fibre needs a "
                                  "constant rational metric")
-            metrics[c] = expr_matrix(dual_metric(m, g0))
-    gluing = v.gluing
-    if gluing is not None:
-        from .wedge import glue_complexes
-        rev = glue_complexes(gluing.x2, gluing.x1,
-                             [(b, a) for a, b in gluing.pairs])
+            metrics[c] = expr_matrix(dual_metric(
+                m, [[e.value for e in row] for row in g]))
+    if v.gluing is not None:
+        rev, _ = switch_map(v.gluing)
         glue = []
         for cls in rev.result.glue_classes:
             # representative of the reversed gluing is the original leg 1
-            leg2 = [p for p in cls if rev.leg_of_chart(p[0]) == 2]
-            rep = leg2[-1]
+            rep = _rep(rev, cls)
             maps = {}
             i_orig = v.base.class_of(rep)
             for p in cls:

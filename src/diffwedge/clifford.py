@@ -123,8 +123,8 @@ def to_frame_coords(alg, v):
     return mat_vec(inverse([list(r) for r in alg.frame]), [Fraction(x) for x in v])
 
 
-def vector_mv(alg, v, standard=True):
-    coords = to_frame_coords(alg, v) if standard else v
+def vector_mv(alg, v):
+    coords = to_frame_coords(alg, v)
     return {1 << i: c for i, c in enumerate(coords) if c != 0}
 
 

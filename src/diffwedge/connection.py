@@ -149,13 +149,13 @@ def glue_connections(c1, c2, bundle):
     return Connection(bundle, {**c1.gamma, **c2.gamma})
 
 
-def sum_connection(c1, c2, bundle=None):
+def sum_connection(c1, c2):
     gamma = {cid: emat_block_sum(c1.gamma[cid], c2.gamma[cid])
              for cid in c1.gamma}
-    return Connection(bundle if bundle is not None else c1.bundle, gamma)
+    return Connection(c1.bundle, gamma)
 
 
-def tensor_connection(c1, c2, bundle=None):
+def tensor_connection(c1, c2):
     """Gamma1 kron Id + Id kron Gamma2 chartwise."""
     gamma = {}
     for cid, g1 in c1.gamma.items():
@@ -164,7 +164,7 @@ def tensor_connection(c1, c2, bundle=None):
                    emat_kron(identity(len(g1)), g2))
         gamma[cid] = [[simplify(u + v) for u, v in zip(r1, r2)]
                       for r1, r2 in rows]
-    return Connection(bundle if bundle is not None else c1.bundle, gamma)
+    return Connection(c1.bundle, gamma)
 
 
 def _chart_metric(conn, cid):

@@ -118,7 +118,7 @@ def clifford_algebra_map(module, glue_point):
     return [[Fraction(1), Fraction(0)], [Fraction(0), a]]
 
 
-def check_algebra_morphism(module, glue_point, tol=1e-12):
+def check_algebra_morphism(module, glue_point):
     """Does the extended map preserve Clifford products of the glue fibres?
 
     Products taken in the rank-1 algebras with forms h1 and h2 at the
@@ -143,7 +143,7 @@ def check_algebra_morphism(module, glue_point, tol=1e-12):
             lhs = mul(h2, fu, fv)
             prod = mul(h1, u, v)
             rhs = (prod[0], a * prod[1])
-            if any(abs(l - r) > tol for l, r in zip(lhs, rhs)):
+            if any(abs(l - r) > 1e-12 for l, r in zip(lhs, rhs)):
                 return Verdict(False, witness=f"products differ on {u}, {v}: "
                                               f"{lhs} != {rhs}")
     return Verdict(True)
@@ -189,17 +189,15 @@ def check_unitarity(module, points_per_chart, tol=1e-10):
     return Verdict.within(tol, samples)
 
 
-def clifford_connection(module, lam_conn=None):
+def clifford_connection(module):
     """Connection on the module induced by the one-form connection.
 
     For the exterior module the Christoffel matrix is diag(0, Gamma),
-    where Gamma is the one-form Christoffel symbol (by default the
-    metric connection h'/(2h)).
+    where Gamma is the Christoffel symbol h'/(2h) of the metric
+    connection on the one-form bundle.
     """
-    if lam_conn is None:
-        lam_conn = levi_civita(module.lam)
     gamma = {cid: [[ZERO, ZERO], [ZERO, g[0][0]]]
-             for cid, g in lam_conn.gamma.items()}
+             for cid, g in levi_civita(module.lam).gamma.items()}
     return Connection(module.bundle, gamma)
 
 
@@ -252,10 +250,9 @@ class DiracOperator:
                           compare=False)
 
 
-def dirac(module, conn_e=None):
-    if conn_e is None:
-        conn_e = clifford_connection(module)
-    return DiracOperator(module, conn_e)
+def dirac(module):
+    """D = c o nabla for the module's Clifford connection."""
+    return DiracOperator(module, clifford_connection(module))
 
 
 def apply_dirac_chart(d, comps, cid):

@@ -167,20 +167,22 @@ def pairing_map(model, a, v):
 def dual_metric(model, a):
     """Matrix B on the dual basis with B(phi(u), phi(v)) = a(u, v).
 
-    ``phi`` is the pairing map.  B is computed by pushing a basis of the
-    characteristic subspace through phi and solving the defining
-    identity exactly; the identity is what callers should check.
+    ``phi`` is the pairing map.  With D the dual basis as rows and
+    M = D D^T, a pseudo-metric is a = D^T S D for one invertible S, so
+    phi(v) = S D v and B = S^-1 = M (D a D^T)^-1 M.  B is computed
+    without ``pairing_map``, so the defining identity, which callers
+    should check, is an independent test of both.
     """
     a = frac_matrix(a)
-    v0 = characteristic_subspace(model, a)
-    d = len(v0)
-    if d == 0:
+    verdict = is_pseudo_metric(model, a)
+    if not verdict:
+        raise ValueError(f"invalid pseudo-metric: {verdict.witness}")
+    d = model._dual
+    if not d:
         return []       # K is everything: the dual is 0-dimensional
-    # columns: coordinates of phi(v0_i) in the dual basis
-    p = transpose([pairing_map(model, a, v) for v in v0])
-    g = mat_mul(v0, mat_mul(a, transpose(v0)))
-    p_inv = inverse(p)
-    return mat_mul(transpose(p_inv), mat_mul(g, p_inv))
+    dt = transpose(d)
+    m = mat_mul(d, dt)
+    return mat_mul(m, mat_mul(inverse(mat_mul(d, mat_mul(a, dt))), m))
 
 
 def apply_form(a, u, v):

@@ -34,18 +34,19 @@ class OneFormBundle:
         return len(self.fibre_branches(p))
 
 
-def lambda1(base, h, gluing=None, samples=None):
+def lambda1(base, h):
     """Build the one-form bundle; ``h`` maps chart ids to expressions.
 
-    The coefficients must be positive where sampled (default grid of 9
-    points on [-2, 2] per chart plus glue coordinates).
+    ``base`` is a wedge complex, or a ``Gluing`` whose result is the base.
+    The coefficients must be positive where sampled: on a fixed grid of 9
+    points on [-2, 2] per chart plus the glue coordinates.
     """
+    gluing = None
     if isinstance(base, Gluing):
         gluing, base = base, base.result
     hs = {c: as_expr(e) for c, e in h.items()}
     for c in base.charts:
-        pts = list(samples) if samples is not None else [
-            Fraction(i, 2) for i in range(-4, 5)]
+        pts = [Fraction(i, 2) for i in range(-4, 5)]
         for cls in base.glue_classes:
             for cid, x in cls:
                 if cid == c.id:

@@ -357,16 +357,16 @@ def evaluate(e, x):
             if tape is False:
                 tape = e._tape = _compile([e])
             (v,) = _run(tape, v)
-    except ZeroDivisionError as exc:
-        raise ZeroDivisionError(f"{exc} at x={x}") from None
+    except ArithmeticError as exc:      # a zero divisor or a float overflow
+        raise type(exc)(f"{exc} at x={x}") from None
     return Fraction(*v) if type(v) is tuple else v
 
 
 # Values: an exact value is a pair (n, d) of ints with d != 0, neither
 # reduced nor sign-normalised; any other value is a float.  Each operation
 # takes two arguments: a unary one ignores its second, and a power's second
-# is its int exponent.  A zero divisor raises without the point, which
-# evaluate appends.
+# is its int exponent.  A zero divisor or a float overflow raises without
+# the point, which evaluate and max_residuals append.
 
 def _float(a):
     """A value as a float, as ``Fraction.__float__`` converts: n / d.
@@ -547,7 +547,8 @@ def max_residuals(groups, points):
     Every side of every group on one key is compiled into one tape, which
     runs once per point, so a subtree shared by any sides is computed once
     per point.  A side that raises at some point raises with the first
-    point at which any side of its key raises.
+    point at which any side of its key raises: an ``ArithmeticError`` of
+    the same type that names the point and carries the key as ``key``.
     """
     sides = {}         # key -> every side of its groups, pair by pair
     for key, pairs in groups:
@@ -560,8 +561,10 @@ def max_residuals(groups, points):
         for x in xs:
             try:
                 v = _run(tape, _value(x))
-            except ZeroDivisionError as exc:
-                raise ZeroDivisionError(f"{exc} at x={x}") from None
+            except ArithmeticError as exc:     # e.g. h^2 overflows a float
+                err = type(exc)(f"{exc} at x={x}")
+                err.key = key
+                raise err from None
             # exactly float(abs(Fraction(lhs) - Fraction(rhs))): n / d is
             # correctly rounded, and a float meets -rhs as it meets rhs
             rows.append([abs(_float(_add(v[i], _neg(v[i + 1], None))))

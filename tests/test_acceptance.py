@@ -303,8 +303,8 @@ def test_criterion_09_dirac_flagship():
     lam2 = lambda1(line("b"), {"b": "exp(-x)"})
     module = exterior_module(lam1, lam2, [(("a", 0), ("b", 0))], 1)
     m1, m2 = single_chart_module(lam1), single_chart_module(lam2)
-    d1 = dirac(m1, clifford_connection(m1))
-    d2 = dirac(m2, clifford_connection(m2))
+    d1 = dirac(m1)
+    d2 = dirac(m2)
     d = glue_dirac(d1, d2, module)
     points = [("a", Fraction(i, 3)) for i in range(-6, 8) if i != 0]
     points += [("b", Fraction(i, 3)) for i in range(1, 7)]
@@ -322,7 +322,7 @@ def test_criterion_09_dirac_flagship():
         assert v.ok, v.residual
     lam = module.lam
     lc = levi_civita(lam)
-    conn_e = clifford_connection(module, lc)
+    conn_e = clifford_connection(module)
     pts = {c: GRID for c in ("a", "b")}
     batteries = [({c: rnd_poly(rng) for c in ("a", "b")},
                   {c: rnd_poly(rng) for c in ("a", "b")},

@@ -114,6 +114,10 @@ DIRAC_AT_POLE = {"charts": [{"id": "a", "h": "1/(x-1/7)^2"},
         "sections": [{"a": ["x", "1"], "b": ["1", "x"]}],
         "points": [["a", "1/7"]]}},
      "/dirac/points/0: division by zero at x=1/7"),
+    # h = exp(700) is a float, but a checker's h^2 overflows
+    ("check", {"charts": [{"id": "a", "h": "exp(x)"}, {"id": "b", "h": "exp(x)"}],
+               "gluings": [{"points": [["a", "700"], ["b", "700"]]}]},
+     "/charts/0/h"),
 ], ids=["tol", "glue-point", "nested-parentheses", "long-sum",
         "one-component-section", "point-section-lacks", "point-unknown-chart",
         "charts-object", "gluings-object", "sections-object",
@@ -121,7 +125,7 @@ DIRAC_AT_POLE = {"charts": [{"id": "a", "h": "1/(x-1/7)^2"},
         "h-zero-divisor-on-sample-grid", "chart-outside-gluing",
         "h-zero-divisor-on-checker-grid", "h-zero-on-checker-grid",
         "h-zero-divisor-at-splitting-point", "h-zero-divisor-at-dirac-point",
-        "h-zero-divisor-at-dirac-point-in-report"])
+        "h-zero-divisor-at-dirac-point-in-report", "h-squared-overflows"])
 def test_malformed_values_exit_two(tmp_path, capsys, command, data, pointer):
     assert main([command, write_cfg(tmp_path, data)]) == 2
     assert pointer in capsys.readouterr().err
@@ -167,6 +171,14 @@ def test_zero_and_string_tol_are_usable(tmp_path, capsys):
     ("check", {"charts": [{"id": "a"}, {"id": "b"}],
                "gluings": [{"points": [["a", 0], ["b", 0]], "scale": "1e400"}]},
      "/gluings/0"),
+    # h is inf or nan at the glue point, values with no rational to compare
+    ("check", {"charts": [{"id": "a", "h": "exp(x)*exp(x)"}, {"id": "b"}],
+               "gluings": [{"points": [["a", 400], ["b", 0]]}]},
+     "/gluings/0"),
+    ("check", {"charts": [{"id": "a", "h": "exp(x)*exp(x)-exp(x)*exp(x)+1"},
+                          {"id": "b"}],
+               "gluings": [{"points": [["a", 400], ["b", 0]]}]},
+     "/gluings/0"),
     # lambda1's positivity grid reaches x = 2, where h overflows
     ("check", {"charts": [{"id": "a", "h": "exp(exp(exp(x)))"},
                           {"id": "b", "h": "1"}],
@@ -177,7 +189,7 @@ def test_zero_and_string_tol_are_usable(tmp_path, capsys):
                          "points": [["c1", "0"], ["c1", "1e400"]]}},
      "/dirac/points/1"),
 ], ids=["h-at-glue-point", "gate-difference", "gate-witness", "scale",
-        "h-on-lambda1-grid", "dirac-point"])
+        "gate-h-inf", "gate-h-nan", "h-on-lambda1-grid", "dirac-point"])
 def test_float_overflow_is_a_config_error(tmp_path, capsys, command, data,
                                           pointer):
     assert main([command, write_cfg(tmp_path, data)]) == 2
@@ -377,3 +389,21 @@ def test_float_metric_glue_within_tolerance(tmp_path, capsys):
                                           "scale": 1}]})
     assert main(["check", p]) == 0
     assert json.loads(capsys.readouterr().out)["failed"] == []
+
+
+@pytest.mark.parametrize("command", ["check", "report"])
+@pytest.mark.parametrize("ha, hb, code", [
+    ("exp(x)", "exp(x)", 0),
+    # rational metrics are compared exactly, however near they are
+    ("1", "1+1/10000000000000", 1),
+], ids=["float-equal", "rational-near-miss"])
+def test_metric_glue_gate(tmp_path, capsys, command, ha, hb, code):
+    p = write_cfg(tmp_path, {"charts": [{"id": "a", "h": ha},
+                                        {"id": "b", "h": hb}],
+                             "gluings": [{"points": [["a", 0], ["b", 0]],
+                                          "scale": 1}]})
+    assert main([command, p]) == code
+    out, err = capsys.readouterr()
+    assert err == ""
+    failed = json.loads(out)["failed"]
+    assert failed == ([] if code == 0 else ["metric-glue-compatibility"])

@@ -5,7 +5,8 @@ import pytest
 
 from diffwedge.bundle import eval_vector
 from diffwedge.connection import Connection, levi_civita
-from diffwedge.dirac import (CliffordModule, apply_dirac, apply_dirac_chart,
+from diffwedge.dirac import (CliffordModule, DiracOperator, apply_dirac,
+                             apply_dirac_chart,
                              check_action_compatibility,
                              check_algebra_morphism, check_clifford_connection,
                              check_unitarity, clifford_algebra_map,
@@ -102,7 +103,7 @@ def test_action_compatibility_and_morphism():
 def test_clifford_connection_leibniz_pass_and_flat_fail():
     m = wedge_module()
     lam_lc = levi_civita(m.lam)
-    conn = clifford_connection(m, lam_lc)
+    conn = clifford_connection(m)
     batteries = [({"a": "x", "b": "1"}, {"a": "x^2+1", "b": "cos(x)"},
                   {"a": ["x", "exp(x)"], "b": ["1", "x^2"]}),
                  ({"a": "1", "b": "x^2"}, {"a": "exp(x)", "b": "x"},
@@ -125,7 +126,7 @@ def test_unitarity():
 def test_apply_dirac_flat_unit_metric():
     m = single_chart_module(leg("a", "1"))
     flat = Connection(m.bundle, {"a": [[ZERO, ZERO], [ZERO, ZERO]]})
-    d = dirac(m, flat)
+    d = DiracOperator(m, flat)
     # D(u + w dx) = -h w' + u' dx
     out = apply_dirac_chart(d, {"a": ["x", "0"]}, "a")
     assert evaluate(out[0], 1) == 0 and evaluate(out[1], 1) == 1
@@ -139,7 +140,7 @@ def test_dirac_squares_against_laplacian_flat_case():
     # with h = 1 and zero connection, D^2 = -d^2/dx^2 on both slots
     m = single_chart_module(leg("a", "1"))
     flat = Connection(m.bundle, {"a": [[ZERO, ZERO], [ZERO, ZERO]]})
-    d = dirac(m, flat)
+    d = DiracOperator(m, flat)
     s = {"a": ["x^3", "cos(x)"]}
     once = apply_dirac(d, s)
     twice = apply_dirac_chart(d, {"a": once["a"]}, "a")
@@ -164,7 +165,7 @@ def dirac_leg(m, cid):
     lam = leg(cid, next(h for c, h in {"a": "exp(x)", "b": "exp(-x)",
                                        }.items() if c == cid))
     mm = single_chart_module(lam)
-    return dirac(mm, clifford_connection(mm))
+    return dirac(mm)
 
 
 def test_splitting_random_battery():

@@ -6,13 +6,14 @@ import sympy
 from hypothesis import example, given, strategies as st
 
 from diffwedge.cli import load_config, run
+from diffwedge import cli, dvspace
 from diffwedge.dvspace import (DvsModel, apply_form, characteristic_subspace,
                                check_dual_compatibility,
                                check_map_compatibility, dual_map, dual_metric,
                                dual_space, is_pseudo_metric,
                                make_pseudo_metric, map_conditions,
                                pairing_map, smooth_form_basis, standard_model)
-from diffwedge.linalg import (congruent_diagonal, frac_matrix, is_psd,
+from diffwedge.linalg import (congruent_diagonal, frac_matrix, inverse, is_psd,
                               mat_mul, mat_vec, nullspace, rank, span_equal,
                               transpose)
 
@@ -126,6 +127,57 @@ def test_dual_metric_defining_identity():
                 lhs = apply_form(b, pairing_map(model, g, ei),
                                  pairing_map(model, g, ej))
                 assert lhs == g[i][j]
+
+
+def _dual_metric_by_pairing(model, a):
+    """The dual_metric the closed form replaced: push the characteristic
+    subspace V0 through the pairing map P and solve P^T B P = V0 a V0^T."""
+    v0 = characteristic_subspace(model, a)
+    if not v0:
+        return []
+    p = transpose([pairing_map(model, a, v) for v in v0])
+    g = mat_mul(v0, mat_mul(a, transpose(v0)))
+    p_inv = inverse(p)
+    return mat_mul(transpose(p_inv), mat_mul(g, p_inv))
+
+
+@st.composite
+def _fibre_metric(draw):
+    """A fibre of dim <= 5 with a pseudo-metric D^T (C^T C + I) D on it, D
+    its dual basis as rows: positive definite on the dual, kernel K."""
+    n = draw(st.integers(1, 5))
+    small = st.integers(-2, 2)
+    gens = draw(st.lists(st.lists(small, min_size=n, max_size=n), max_size=n))
+    model = DvsModel(n, tuple(map(tuple, gens)))
+    d = dual_space(model)
+    c = [[Fraction(draw(small)) for _ in d] for _ in d]
+    s = mat_mul(transpose(c), c) if d else []
+    for i in range(len(d)):
+        s[i][i] += 1
+    a = mat_mul(transpose(d), mat_mul(s, d)) if d else frac_matrix([[0] * n] * n)
+    return model, a
+
+
+@given(_fibre_metric())
+@example((M3, A3))
+def test_dual_metric_matches_the_pairing_oracle(case):
+    model, a = case
+    assert dual_metric(model, a) == _dual_metric_by_pairing(model, a)
+
+
+def test_defining_identity_fails_on_a_wrong_pairing_map(monkeypatch):
+    # B no longer comes from pairing_map, so a pairing map off by 2 breaks
+    # B(phi(u), phi(v)) = g(u, v) instead of cancelling out of it
+    def doubled(model, a, v, _pair=pairing_map):
+        return [2 * c for c in _pair(model, a, v)]
+
+    monkeypatch.setattr(dvspace, "pairing_map", doubled)
+    monkeypatch.setattr(cli, "pairing_map", doubled)
+    cfg = load_config(os.path.join(os.path.dirname(__file__), os.pardir,
+                                   "configs", "two_planes.json"))
+    report, code = run("dual-metric", cfg)
+    assert code == 1
+    assert report["failed"] == ["dual-metric-defining-identity"]
 
 
 def test_dual_metric_small_cases():

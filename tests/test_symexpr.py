@@ -237,6 +237,15 @@ def _fraction_walk(e, x):
     return {Exp: math.exp, Sin: math.sin, Cos: math.cos}[type(e)](arg)
 
 
+def _walk_naming_the_point(e, x):
+    """``_fraction_walk``, naming the point in a float overflow as it names
+    it in a zero divisor; evaluate names it in both."""
+    try:
+        return _fraction_walk(e, x)
+    except OverflowError as exc:
+        raise OverflowError(f"{exc} at x={x}") from None
+
+
 def _outcome(f, e, x):
     """What f(e, x) gives: its type and value (Fractions by numerator and
     denominator, floats by bits), or its error type and message."""
@@ -254,7 +263,8 @@ def _matches_the_fraction_walk(e, xs):
     every later one (the tape) give what the Fraction walk gives."""
     e = _copy(e)
     for x in xs[:1] + xs:
-        assert _outcome(evaluate, e, x) == _outcome(_fraction_walk, e, x), (e, x)
+        assert _outcome(evaluate, e, x) == _outcome(_walk_naming_the_point,
+                                                    e, x), (e, x)
     assert isinstance(e._tape, tuple) or not e.children
 
 
@@ -442,6 +452,8 @@ def sampled_groups(draw):
 @example(([("a", [(ONE, Const(Fraction(1, 3)))])], {"a": [0, 1]}, 0.0))
 # a composite side whose value changes from point to point
 @example(([("a", [(X * X + 1, ZERO)])], {"a": [1, 3, 2]}, 0.0))
+# a side whose square overflows a float at the second point
+@example(([("a", [(Pow(Exp(X), 2), ZERO)])], {"a": [1, 700]}, 0.0))
 def test_joint_sampler_matches_the_scalar_loop(case):
     groups, pts, tol = case
     failure = _first_failure(groups, pts)
@@ -488,6 +500,13 @@ def test_joint_sampler_names_the_first_failing_point():
     with pytest.raises(ZeroDivisionError, match="at x=1$"):
         max_residuals(groups[:1], pts)
     assert max_residuals(groups, {"b": pts["a"]}) == [(0.0, None)] * 2
+    # a float overflow names its point too, and the error its group's key
+    big = [("a", [(X, X)]), ("b", [(Pow(Exp(X), 2), ZERO)])]
+    with pytest.raises(OverflowError, match="at x=700$") as exc:
+        max_residuals(big, {"a": [700], "b": [1, 700]})
+    assert exc.value.key == "b"
+    with pytest.raises(OverflowError, match="at x=700$"):
+        evaluate(big[1][1][0][0], 700)
 
 
 def test_chartwise_computes_a_repeated_side_once_per_point(monkeypatch):
