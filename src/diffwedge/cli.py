@@ -15,6 +15,7 @@ import math
 import random
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import symexpr
 from .symexpr import Const, Expr, ExprSyntaxError, Verdict
@@ -166,24 +167,76 @@ def load_config(path):
 # ---------------------------------------------------------------------------
 # report assembly
 
-def _canon(v):
-    if isinstance(v, bool) or v is None or isinstance(v, (str, int)):
-        return v
+def _scalar(v):
+    """The JSON text of a report leaf: str, bool, None and int as JSON
+    values; a Fraction as "p/q" or "n", a float at 17 significant digits,
+    an expression as its text and anything else as str(v), all as
+    strings."""
+    if isinstance(v, str):
+        return _quote(v)
     if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}" if v.denominator != 1 else str(v.numerator)
+        return _quote(f"{v.numerator}/{v.denominator}" if v.denominator != 1
+                      else str(v.numerator))
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    if v is None:
+        return "null"
+    if isinstance(v, int):
+        return int.__repr__(v)
     if isinstance(v, float):
-        return format(v, ".17g")
+        return _quote(format(v, ".17g"))
     if isinstance(v, Expr):
-        return symexpr.to_str(v)
+        return _quote(symexpr.to_str(v))
+    return _quote(str(v))
+
+
+def _emit(v, out, nl):
+    """Append the JSON text of ``v`` to ``out``; ``nl`` is a newline and the
+    indent of the line v starts on.  A leaf member is written with its
+    separator in one piece."""
+    inner = nl + "  "
     if isinstance(v, dict):
-        return {str(k): _canon(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [_canon(x) for x in v]
-    return str(v)
+        if not v:
+            out.append("{}")
+            return
+        sep = "{" + inner
+        # str keys, sorted; of two keys with one str, the later value wins
+        for k, x in sorted({str(k): x for k, x in v.items()}.items()):
+            head = f"{sep}{_quote(k)}: "
+            if isinstance(x, (dict, list, tuple)):
+                out.append(head)
+                _emit(x, out, inner)
+            else:
+                out.append(head + _scalar(x))
+            sep = "," + inner
+        out.append(nl + "}")
+    elif isinstance(v, (list, tuple)):
+        if not v:
+            out.append("[]")
+            return
+        sep = "[" + inner
+        for x in v:
+            if isinstance(x, (dict, list, tuple)):
+                out.append(sep)
+                _emit(x, out, inner)
+            else:
+                out.append(sep + _scalar(x))
+            sep = "," + inner
+        out.append(nl + "]")
+    else:
+        out.append(_scalar(v))
 
 
 def render_report(report):
-    return json.dumps(_canon(report), sort_keys=True, indent=2) + "\n"
+    """The report as ``json.dumps(sort_keys=True, indent=2)`` writes it, and
+    a newline, in one walk; str keys, tuples as lists and every leaf
+    through ``_scalar``."""
+    out = []
+    _emit(report, out, "\n")
+    out.append("\n")
+    return "".join(out)
 
 
 def _verdict(name, v, *fields):
@@ -400,10 +453,13 @@ def _fibre_suite(cfg):
     values["smooth_form_basis"] = smooth_form_basis(model)
     metric = cfg["fibre"]["metric"]
     if metric is not None:
-        v = is_pseudo_metric(model, metric)
-        verdicts.append(_metric_verdict(v, model))
-        if v.ok:
+        try:    # dual_metric validates the metric first
             b = dual_metric(model, metric)
+        except ValueError:      # not a pseudo-metric: its verdict says why
+            verdicts.append(_metric_verdict(is_pseudo_metric(model, metric),
+                                            model))
+        else:
+            verdicts.append(_metric_verdict(Verdict(True), model))
             values["dual_metric"] = b
             # the defining identity B(phi(e_i), phi(e_j)) = g(e_i, e_j) on
             # basis pairs, as Phi B Phi^T = g with rows phi(e_i) of Phi

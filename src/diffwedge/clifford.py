@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .linalg import congruent_diagonal, frac_matrix, inverse, mat_vec
 from .dvspace import is_pseudo_metric
@@ -31,6 +32,11 @@ class CliffordAlgebra:
     @property
     def dim(self):
         return 1 << self.n
+
+    @cached_property
+    def _factors(self):
+        """_blade_factors(self.diag), computed once."""
+        return _blade_factors(self.diag)
 
     def blade_name(self, mask):
         if mask == 0:
@@ -57,28 +63,41 @@ def exterior_algebra(n):
     return CliffordAlgebra(n, tuple(tuple(r) for r in p), tuple(diag))
 
 
-def blade_mul(mask_a, mask_b, diag):
-    """Product of two basis blades: (result mask, signed coefficient)."""
-    coeff = 1
-    out = mask_a
-    for i in range(len(diag)):
-        if not mask_b >> i & 1:
-            continue
-        if (out >> (i + 1)).bit_count() % 2:
-            coeff = -coeff
-        if out >> i & 1:
-            out &= ~(1 << i)
-            coeff = coeff * -diag[i]
-        else:
-            out |= 1 << i
-    return out, coeff
+def _blade_factors(diag):
+    """The metric factor of every mask: ``factors[m]`` is the product of
+    -diag[i] over the bits i of m, multiplied in increasing i starting
+    from the int 1 (so factors[m] = factors[m without its top bit] *
+    -diag[top], and float diagonals round as a left-to-right product)."""
+    factors = [1]
+    for d in diag:
+        factors += [f * -d for f in factors]
+    return factors
 
 
-def _combine(alg, a, b, diag):
+def blade_mul(mask_a, mask_b, factors):
+    """Product of two basis blades: (result mask, signed coefficient).
+
+    ``factors`` is ``_blade_factors`` of the diagonal.  Each generator of
+    b passes the generators of a above it, so the sign is the parity of
+    sum_k>=1 popcount((a >> k) & b); each generator the two share squares
+    to -diag[i], giving the factor ``factors[a & b]``.  With nothing
+    shared the coefficient is the int 1 or -1.
+    """
+    swaps = 0
+    a = mask_a >> 1
+    while a:
+        swaps += (a & mask_b).bit_count()
+        a >>= 1
+    common = mask_a & mask_b
+    coeff = factors[common] if common else 1
+    return mask_a ^ mask_b, -coeff if swaps & 1 else coeff
+
+
+def _combine(alg, a, b, factors):
     out = {}
     for sa, ca in a.items():
         for sb, cb in b.items():
-            mask, coeff = blade_mul(sa, sb, diag)
+            mask, coeff = blade_mul(sa, sb, factors)
             val = out.get(mask, 0) + ca * cb * coeff
             if val == 0:
                 out.pop(mask, None)
@@ -89,12 +108,12 @@ def _combine(alg, a, b, diag):
 
 def cl_mul(alg, a, b):
     """Clifford product of multivectors (sparse mask -> coefficient maps)."""
-    return _combine(alg, a, b, alg.diag)
+    return _combine(alg, a, b, alg._factors)
 
 
 def wedge(alg, a, b):
     """Exterior product: the q = 0 specialization of the same blade rule."""
-    return _combine(alg, a, b, (0,) * alg.n)
+    return _combine(alg, a, b, _blade_factors((0,) * alg.n))
 
 
 def mv_add(a, b):
@@ -155,7 +174,7 @@ def contract(alg, coords, a):
 def cl_action(alg, coords, a):
     """c(v) = wedge by v minus contraction by v, v in frame coordinates."""
     v = {1 << i: c for i, c in enumerate(coords) if c != 0}
-    ext = _combine(alg, v, a, (0,) * alg.n)
+    ext = _combine(alg, v, a, _blade_factors((0,) * alg.n))
     return mv_add(ext, mv_scale(-1, contract(alg, coords, a)))
 
 
@@ -193,9 +212,10 @@ def filtration_degree(a):
 def multiplication_table(alg):
     """All blade products as {(name_a, name_b): multivector-as-name-map}."""
     names = [alg.blade_name(mask) for mask in range(alg.dim)]
+    factors = alg._factors
     table = {}
     for sa, name_a in enumerate(names):
         for sb, name_b in enumerate(names):
-            mask, coeff = blade_mul(sa, sb, alg.diag)
+            mask, coeff = blade_mul(sa, sb, factors)
             table[(name_a, name_b)] = {names[mask]: coeff}
     return table

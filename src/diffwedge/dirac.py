@@ -154,17 +154,20 @@ def check_unitarity(module, points_per_chart, tol=1e-10):
 
     On charts alpha = dx / sqrt(h); at glue fibres alpha is the paired
     unit form (components related by the glue scale, normalized in the
-    weighted glue metric).
+    weighted glue metric).  The sides are floats, so each sample passes
+    within ``tol`` times the largest entry max(1, |h|) of its g_E; the
+    residual is the worst absolute difference.
     """
     basis = [[1, 0], [0, 1], [1, 1]]
 
-    samples = []
+    samples = []       # (|difference|, where, bound)
 
     def gram(act, h, at):
         # |g_E(c e1, c e2) - g_E(e1, e2)| over the basis pairs
         g_e = [[1, 0], [0, h]]
+        bound = tol * max(1, abs(float(h)))
         samples.extend((abs(float(apply_form(g_e, act(e1), act(e2))
-                                  - apply_form(g_e, e1, e2))), at)
+                                  - apply_form(g_e, e1, e2))), at, bound)
                        for e1 in basis for e2 in basis)
 
     for cid, pts in points_per_chart.items():
@@ -186,7 +189,9 @@ def check_unitarity(module, points_per_chart, tol=1e-10):
         value = {br: comp[br] / norm for br in branches}
         gram(lambda e: induced_action(module, i, value, e),
              module.lam.h_at(rep[0], rep[1]), f"glue class {i}")
-    return Verdict.within(tol, samples)
+    worst = Verdict.within(tol, [(r, at) for r, at, _ in samples])
+    return Verdict(all(r <= bound for r, _, bound in samples), worst.residual,
+                   worst.witness)
 
 
 def clifford_connection(module):

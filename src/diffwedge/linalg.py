@@ -2,11 +2,15 @@
 
 Matrices are lists of lists of ``Fraction``.  Everything here is plain
 row reduction; no floating point, so rank/kernel verdicts are exact.
+Elimination and products run on Python ints scaled by common
+denominators, and build one ``Fraction`` per entry of the result.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 
 
 def frac_matrix(rows):
@@ -21,8 +25,39 @@ def zeros(n, m):
     return [[Fraction(0)] * m for _ in range(n)]
 
 
+def _den(row):
+    """The lcm of the denominators of a row of Fractions and ints."""
+    return lcm(*(v.denominator for v in row))
+
+
+def _over(row, den):
+    """The integers n_j with row[j] = n_j / den; den is a multiple of _den(row)."""
+    return [v.numerator * (den // v.denominator) for v in row]
+
+
+def _primitive(row):
+    """An integer row divided by the gcd of its entries."""
+    g = gcd(*row)
+    return [v // g for v in row] if g > 1 else row
+
+
 def mat_mul(a, b):
+    """The product a b.
+
+    When every entry of a and b is a ``Fraction`` or an int, the integer
+    numerators are multiplied over one common denominator per matrix, and
+    each entry of the product is one ``Fraction``.  Any other entries, e.g.
+    floats, are multiplied and summed in the plain loop.
+    """
     n, k, m = len(a), len(b), len(b[0])
+    if all(isinstance(v, (Fraction, int)) for x in (a, b) for row in x
+           for v in row):
+        den_a = lcm(*map(_den, a))
+        den_b = lcm(*map(_den, b))
+        cols = list(zip(*(_over(row, den_b) for row in b)))
+        den = den_a * den_b
+        return [[Fraction(sum(map(mul, row, col)), den) for col in cols]
+                for row in (_over(row, den_a) for row in a)]
     out = zeros(n, m)
     for i in range(n):
         for t in range(k):
@@ -42,28 +77,42 @@ def transpose(a):
 
 
 def rref(m):
-    """Reduced row echelon form; returns (rref matrix, pivot columns)."""
-    m = [row[:] for row in m]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
+    """Reduced row echelon form; returns (rref matrix, pivot columns).
+
+    Fraction-free: each row is scaled to integers by the lcm of its
+    denominators, which leaves the row space, and so the unique RREF and
+    its pivots, unchanged.  Row r eliminates column c from every other row
+    i by row_i <- p row_i - f row_r, with p = row_r[c] and f = row_i[c],
+    and each updated row is divided by the gcd of its entries.  At the
+    end row r is divided by its pivot entry, one ``Fraction`` per entry;
+    the rows past the rank are zero.  Entries must be Fractions or ints.
+    """
+    rows = [_primitive(_over(row, _den(row))) for row in m]
+    n = len(rows)
+    cols = len(rows[0]) if n else 0
     pivots = []
     r = 0
     for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        pivot = next((i for i in range(r, n) if rows[i][c]), None)
         if pivot is None:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [v * inv for v in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [v - f * w for v, w in zip(m[i], m[r])]
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        top = rows[r]
+        p = top[c]
+        for i in range(n):
+            f = rows[i][c]
+            if f and i != r:
+                rows[i] = _primitive([p * v - f * w
+                                      for v, w in zip(rows[i], top)])
         pivots.append(c)
         r += 1
-        if r == rows:
+        if r == n:
             break
-    return m, pivots
+    out = [[Fraction(v, rows[i][c]) for v in rows[i]]
+           for i, c in enumerate(pivots)]
+    zero = Fraction(0)
+    out += [[zero] * cols for _ in range(n - r)]
+    return out, pivots
 
 
 def rank(m):
@@ -86,7 +135,9 @@ def nullspace(m):
         for r, pc in enumerate(pivots):
             v[pc] = -red[r][fc]
         lead = next(x for x in v if x != 0)
-        basis.append([x / lead for x in v])
+        if lead != 1:
+            v = [x / lead if x else x for x in v]
+        basis.append(v)
     return basis
 
 
@@ -111,7 +162,7 @@ def solve(a, b):
 
 def inverse(a):
     n = len(a)
-    aug = [a[i][:] + identity(n)[i] for i in range(n)]
+    aug = [row + unit for row, unit in zip(a, identity(n))]
     red, pivots = rref(aug)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")

@@ -1,9 +1,13 @@
 import json
+import math
 import os
 from collections import Counter
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
+from diffwedge import symexpr
 from diffwedge.bundle import eval_vector
 from diffwedge.cli import ConfigError, load_config, main, render_report, run
 
@@ -333,6 +337,18 @@ def test_exterior_module_is_built_once(monkeypatch, command):
     assert calls == Counter(lambda1=2, exterior_module=1)
 
 
+def test_dual_metric_validates_the_metric_once(monkeypatch):
+    from diffwedge import clifford, cli, dvspace
+    calls = Counter()
+    real = dvspace.is_pseudo_metric
+    for mod in (cli, clifford, dvspace):
+        monkeypatch.setattr(mod, "is_pseudo_metric",
+                            lambda *a: calls.update(["is_pseudo_metric"])
+                            or real(*a))
+    assert main(["dual-metric", cfg_path("two_planes.json")]) == 0
+    assert calls == Counter(is_pseudo_metric=1)
+
+
 @pytest.mark.parametrize("command", ["clifford-table", "report", "check"])
 def test_metric_that_is_not_a_pseudo_metric_fails_its_verdict(tmp_path, capsys,
                                                               command):
@@ -407,3 +423,54 @@ def test_metric_glue_gate(tmp_path, capsys, command, ha, hb, code):
     assert err == ""
     failed = json.loads(out)["failed"]
     assert failed == ([] if code == 0 else ["metric-glue-compatibility"])
+
+
+def test_unitarity_is_relative_to_the_metric(tmp_path, capsys):
+    # h = 1e300 + 1 on both legs: a float residual near 1e284 is 1e-16 of h
+    p = write_cfg(tmp_path, {"charts": [{"id": "a", "h": "x^2+1"},
+                                        {"id": "b", "h": "x^2+1"}],
+                             "gluings": [{"points": [["a", "1e150"],
+                                                     ["b", "1e150"]],
+                                          "scale": "1"}]})
+    assert main(["check", p]) == 0
+    verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+    assert {"name": "unitarity", "pass": True,
+            "residual": "1.4870169084777831e+284"} in verdicts
+
+
+def _canon(v):
+    """The canonical form that render_report once passed to json.dumps."""
+    if isinstance(v, bool) or v is None or isinstance(v, (str, int)):
+        return v
+    if isinstance(v, Fraction):
+        return f"{v.numerator}/{v.denominator}" if v.denominator != 1 else str(v.numerator)
+    if isinstance(v, float):
+        return format(v, ".17g")
+    if isinstance(v, symexpr.Expr):
+        return symexpr.to_str(v)
+    if isinstance(v, dict):
+        return {str(k): _canon(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_canon(x) for x in v]
+    return str(v)
+
+
+LEAVES = st.one_of(
+    st.text(), st.sampled_from(["", "\x00\n\t\"\\", "\u00e9\u2202\U0001d53c"]),
+    st.integers(), st.booleans(), st.none(), st.fractions(),
+    st.floats(), st.sampled_from([math.inf, -math.inf, math.nan, -0.0]),
+    st.sampled_from([symexpr.parse_expr(t) for t in ("x^2+1", "exp(x)/2")]),
+    st.sampled_from([range(2), frozenset()]))
+REPORTS = st.recursive(LEAVES, lambda kids: st.one_of(
+    st.lists(kids, max_size=4), st.lists(kids, max_size=4).map(tuple),
+    st.dictionaries(st.one_of(st.text(), st.integers(), st.fractions()), kids,
+                    max_size=4)), max_leaves=25)
+
+
+@given(REPORTS)
+@example({1: "a", "1": "b"})
+@example({"1": "b", 1: "a", "z": {}, "y": [], "x": ()})
+@example([{"e1 . e2": {"e1^e2": 1}, "1 . 1": {"1": Fraction(1)}}])
+def test_render_report_matches_json_dumps(report):
+    assert render_report(report) == json.dumps(
+        _canon(report), sort_keys=True, indent=2) + "\n"

@@ -56,9 +56,58 @@ FIBRE_10 = {
                [32, -16, 16, 7, -5, 16, -5, 13, 0, 13],
                [-1, 0, 0, 0, 0, 0, 0, 0, 2, 0],
                [32, -16, 16, 7, -5, 16, -5, 13, 0, 13]]}
+# Pinned before the fibre path moved to integer elimination, the blade
+# factor table and the one-pass report emitter: FIBRE_8 is
+# fibre_config(random.Random(8), 8, 3) and FIBRE_24 is
+# fibre_config(random.Random(24), 24, 2).
+FIBRE_8 = {
+    "dim": 8,
+    "nonsmooth": [[0, 2, 2, -1, -1, 1, 0, 1],
+                  [0, -1, -1, 1, 0, 0, 2, -1],
+                  [0, 1, 1, 0, -1, 0, 0, 1]],
+    "metric": [[9, -2, -7, -9, -3, 0, 3, 6],
+               [-2, 3, 0, 2, 2, -1, 0, -1],
+               [-7, 0, 13, 13, 1, 0, -6, -12],
+               [-9, 2, 13, 15, 3, 0, -6, -12],
+               [-3, 2, 1, 3, 3, 0, 0, 0],
+               [0, -1, 0, 0, 0, 1, 0, 1],
+               [3, 0, -6, -6, 0, 0, 3, 6],
+               [6, -1, -12, -12, 0, 1, 6, 13]]}
+FIBRE_24 = {
+    "dim": 24,
+    "nonsmooth": [[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0],
+                  [0, 1, -2, 0, 1, -1, 0, 0, 1, 1, 2, -1, 1, 0, 0, -1, 0, -1, 0, 1, 0, 0, 0, 1]],
+    "metric": [[52, -3, 17, -21, 6, -5, 2, -14, 0, 40, -19, -3, 2, 0, 0, 22, 0, 4, 0, -4, 2, 22, 0, 49],
+               [-3, 4, -2, 0, 0, 7, -1, -1, 0, -5, 0, 0, -1, 0, 1, 0, 1, -1, 0, 6, 0, -11, 0, -2],
+               [17, -2, 17, -9, 3, -8, 4, -1, 2, 28, -5, 0, 2, 0, -1, 8, 1, 0, 0, -4, -5, 23, 0, 15],
+               [-21, 0, -9, 17, -3, 0, 0, 8, -2, -23, 10, 0, 0, 0, -1, -13, -3, 2, 0, 0, -2, -9, 0, -21],
+               [6, 0, 3, -3, 3, 0, 0, -3, 0, 6, -3, 0, 0, 0, 0, 3, 0, 0, 0, 0, -3, 3, 0, 6],
+               [-5, 7, -8, 0, 0, 21, -5, -3, 0, -15, 0, 0, -3, 0, 0, 0, 3, -3, 0, 15, 0, -31, 0, -2],
+               [2, -1, 4, 0, 0, -5, 3, 1, 0, 5, 0, 0, 1, 0, 0, 0, -1, 1, 0, -2, 0, 7, 0, 1],
+               [-14, -1, -1, 8, -3, -3, 1, 14, 0, -8, 8, 0, 1, 0, -1, -8, -5, 1, -1, -2, -1, 2, 0, -15],
+               [0, 0, 2, -2, 0, 0, 0, 0, 2, 4, -1, 1, 0, 0, 0, 1, 0, -2, 0, 0, 0, 2, 0, 0],
+               [40, -5, 28, -23, 6, -15, 5, -8, 4, 56, -15, 0, 3, 0, 0, 21, 3, -1, 0, -10, -3, 43, 0, 37],
+               [-19, 0, -5, 10, -3, 0, 0, 8, -1, -15, 10, 1, 0, 0, -1, -10, 0, 1, 0, 0, -2, -5, 0, -19],
+               [-3, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 2, 0, 0, 0, -1, 0, -1, 0, 0, 0, 0, 0, -3],
+               [2, -1, 2, 0, 0, -3, 1, 1, 0, 3, 0, 0, 1, 0, 0, 0, -1, 1, 0, -2, 0, 5, 0, 1],
+               [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+               [0, 1, -1, -1, 0, 0, 0, -1, 0, 0, -1, 0, 0, 0, 2, 1, 0, 0, 0, 0, 2, -1, 0, 0],
+               [22, 0, 8, -13, 3, 0, 0, -8, 1, 21, -10, -1, 0, 0, 1, 13, 3, -1, 0, 0, 2, 8, 0, 22],
+               [0, 1, 1, -3, 0, 3, -1, -5, 0, 3, 0, 0, -1, 0, 0, 3, 9, -1, 1, 2, -1, -2, 0, 2],
+               [4, -1, 0, 2, 0, -3, 1, 1, -2, -1, 1, -1, 1, 0, 0, -1, -1, 5, 0, -2, 0, 3, 0, 3],
+               [0, 0, 0, 0, 0, 0, 0, -1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, -1, 0, 0, 0],
+               [-4, 6, -4, 0, 0, 15, -2, -2, 0, -10, 0, 0, -2, 0, 0, 0, 2, -2, 0, 13, 0, -23, 0, -2],
+               [2, 0, -5, -2, -3, 0, 0, -1, 0, -3, -2, 0, 0, 0, 2, 2, -1, 0, -1, 0, 13, -5, 0, 2],
+               [22, -11, 23, -9, 3, -31, 7, 2, 2, 43, -5, 0, 5, 0, -1, 8, -2, 3, 0, -23, -5, 58, 0, 17],
+               [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+               [49, -2, 15, -21, 6, -2, 1, -15, 0, 37, -19, -3, 1, 0, 0, 22, 2, 3, 0, -2, 2, 17, 0, 48]]}
 INLINE = [
     ("dual-metric-dim10", "dual-metric", FIBRE_10, 0,
      "bac3a97f62851168e7cfcdc59e145c9fc3a4f59548dd926eee1be05e664a4b53"),
+    ("clifford-table-dim8", "clifford-table", FIBRE_8, 0,
+     "21187c1809b857773ab8ae7e9c3a7e264e896e5a70dbc25901f136c8f26fea4c"),
+    ("dual-metric-dim24", "dual-metric", FIBRE_24, 0,
+     "f878fccdd0dd8b7c9aaf139169c046a188883863ada68fd304b0907a7ff9dc51"),
     # the zero-diagonal direction e1 is skipped as a pivot and comes last
     ("clifford-table-kernel-first", "clifford-table",
      {"dim": 4, "nonsmooth": [[1, 0, 0, 0]],
