@@ -38,15 +38,17 @@ class ConfigError(ValueError):
     pass
 
 
-def _frac(v):
+def _frac(v, where):
+    """``v``, an int or a string such as "-3/4" or "1e-3", as a Fraction;
+    anything else, a bool too, is a config error at ``where``."""
     try:
         if isinstance(v, str):
             return Fraction(v)
-        if isinstance(v, (int, Fraction)):
+        if isinstance(v, int) and not isinstance(v, bool):
             return Fraction(v)
     except (ValueError, ZeroDivisionError):
         pass
-    raise ConfigError(f"not a rational number: {v!r}")
+    raise ConfigError(f"{where}: not a rational number: {v!r}")
 
 
 def _tol(v):
@@ -54,6 +56,8 @@ def _tol(v):
     if not isinstance(v, bool):
         try:
             tol = float(v)
+        except OverflowError:       # an int beyond the floats
+            tol = math.inf
         except (TypeError, ValueError):
             raise ConfigError(f"/tol: not a number: {v!r}")
         if math.isfinite(tol) and tol >= 0:
@@ -61,11 +65,17 @@ def _tol(v):
     raise ConfigError(f"/tol: must be a finite number >= 0, not {v!r}")
 
 
-def _expr(text, where):
+def _expr(v, where):
+    """``v``, an expression string or a finite number, as an expression."""
+    if isinstance(v, bool) or not isinstance(v, (str, int, float)):
+        raise ConfigError(f"{where}: must be an expression string or a "
+                          f"number, not {v!r}")
     try:
-        return as_expr(text)
+        return as_expr(v)
     except ExprSyntaxError as exc:
         raise ConfigError(f"bad expression at {where}: {exc}")
+    except (ValueError, OverflowError):     # a float nan or inf
+        raise ConfigError(f"{where}: not a finite number: {v!r}")
 
 
 def _array(obj, key, where):
@@ -74,6 +84,24 @@ def _array(obj, key, where):
     if not isinstance(v, list):
         raise ConfigError(f"{where}: must be a list")
     return v
+
+
+def _object(v, where):
+    """``v`` if it is a JSON object, else a config error."""
+    if not isinstance(v, dict):
+        raise ConfigError(f"{where}: must be an object")
+    return v
+
+
+def _matrix(obj, key, where):
+    """``obj[key]``, a list of lists of rationals (absent: empty), as rows
+    of Fractions, or a config error."""
+    out = []
+    for r, row in enumerate(_array(obj, key, where)):
+        if not isinstance(row, list):
+            raise ConfigError(f"{where}/{r}: must be a list")
+        out.append([_frac(v, f"{where}/{r}/{c}") for c, v in enumerate(row)])
+    return out
 
 
 def load_config(path):
@@ -89,8 +117,10 @@ def load_config(path):
     cfg = {"name": raw.get("name", ""), "tol": _tol(raw.get("tol", 1e-10))}
     charts = []
     for i, c in enumerate(_array(raw, "charts", "/charts")):
-        if "id" not in c:
+        if "id" not in _object(c, f"/charts/{i}"):
             raise ConfigError(f"/charts/{i}: missing id")
+        if not isinstance(c["id"], str):
+            raise ConfigError(f"/charts/{i}/id: must be a string")
         charts.append({"id": c["id"],
                        "h": _expr(c.get("h", "1"), f"/charts/{i}/h")})
     cfg["charts"] = charts
@@ -99,8 +129,8 @@ def load_config(path):
         raise ConfigError("duplicate chart ids")
     gluings = []
     for i, g in enumerate(_array(raw, "gluings", "/gluings")):
-        pts = g.get("points")
-        if not pts or len(pts) != 2:
+        pts = _object(g, f"/gluings/{i}").get("points")
+        if not isinstance(pts, list) or len(pts) != 2:
             raise ConfigError(f"/gluings/{i}: needs [from, to] points")
         for j, p in enumerate(pts):
             if not isinstance(p, list) or len(p) != 2:
@@ -109,21 +139,23 @@ def load_config(path):
         (c1, x1), (c2, x2) = pts
         if c1 not in ids or c2 not in ids:
             raise ConfigError(f"/gluings/{i}: unknown chart id")
-        gluings.append({"from": (c1, _frac(x1)), "to": (c2, _frac(x2)),
-                        "scale": _frac(g.get("scale", 1))})
+        where = f"/gluings/{i}"
+        gluings.append({"from": (c1, _frac(x1, f"{where}/points/0/1")),
+                        "to": (c2, _frac(x2, f"{where}/points/1/1")),
+                        "scale": _frac(g.get("scale", 1), f"{where}/scale")})
     cfg["gluings"] = gluings
     fibre = raw.get("fibre")
     if fibre is not None:
-        dim = fibre.get("dim")
-        if not isinstance(dim, int) or dim <= 0:
+        dim = _object(fibre, "/fibre").get("dim")
+        if isinstance(dim, bool) or not isinstance(dim, int) or dim <= 0:
             raise ConfigError("/fibre/dim: must be a positive integer")
-        gens = [[_frac(v) for v in g] for g in fibre.get("nonsmooth", [])]
+        gens = _matrix(fibre, "nonsmooth", "/fibre/nonsmooth")
         for g in gens:
             if len(g) != dim:
                 raise ConfigError("/fibre/nonsmooth: wrong vector length")
         metric = fibre.get("metric")
         if metric is not None:
-            metric = [[_frac(v) for v in row] for row in metric]
+            metric = _matrix(fibre, "metric", "/fibre/metric")
             if len(metric) != dim or any(len(r) != dim for r in metric):
                 raise ConfigError("/fibre/metric: wrong shape")
         cfg["fibre"] = {"model": DvsModel(dim, tuple(tuple(g) for g in gens)),
@@ -133,11 +165,10 @@ def load_config(path):
     dd = raw.get("dirac")
     if dd is not None:
         sections = []
-        for j, s in enumerate(_array(dd, "sections", "/dirac/sections")):
-            if not isinstance(s, dict):
-                raise ConfigError(f"/dirac/sections/{j}: must be an object")
+        for j, s in enumerate(_array(_object(dd, "/dirac"), "sections",
+                                     "/dirac/sections")):
             comp = {}
-            for cid, vec in s.items():
+            for cid, vec in _object(s, f"/dirac/sections/{j}").items():
                 where = f"/dirac/sections/{j}/{cid}"
                 if cid not in ids:
                     raise ConfigError(f"/dirac/sections/{j}: unknown chart {cid}")
@@ -150,7 +181,7 @@ def load_config(path):
             if not isinstance(p, list) or len(p) != 2 or p[0] not in ids:
                 raise ConfigError(f"/dirac/points/{k}: needs a [chart id, "
                                   "coordinate] pair on a configured chart")
-            p = (p[0], _frac(p[1]))
+            p = (p[0], _frac(p[1], f"/dirac/points/{k}/1"))
             # the value at a glue point reads every branch of the point
             need = {q[0] for g in gluings if p in (g["from"], g["to"])
                     for q in (g["from"], g["to"])} | {p[0]}
@@ -192,12 +223,27 @@ def _scalar(v):
     return _quote(str(v))
 
 
+class _Table(tuple):
+    """``(rows,)``, the rows of ``multiplication_table``: the report object
+    {"a . b": {"c": coeff}} of every blade product, its keys in row order."""
+    __slots__ = ()
+
+
 def _emit(v, out, nl):
     """Append the JSON text of ``v`` to ``out``; ``nl`` is a newline and the
     indent of the line v starts on.  A leaf member is written with its
-    separator in one piece."""
+    separator in one piece, and so is a member of a ``_Table``."""
     inner = nl + "  "
-    if isinstance(v, dict):
+    if isinstance(v, _Table):
+        (rows,) = v                 # never empty: 1 . 1 is a row
+        leaf = inner + "  "
+        sep = "{"
+        for a, b, c, x in rows:     # blade names need no escapes
+            out.append(f'{sep}{inner}"{a} . {b}": {{{leaf}"{c}": '
+                       f'{_scalar(x)}{inner}}}')
+            sep = ","
+        out.append(nl + "}")
+    elif isinstance(v, dict):
         if not v:
             out.append("{}")
             return
@@ -400,7 +446,7 @@ def _glued_suite(cfg, seed, tol):
     add("dual-metric-coincidence", dual_metric_identity_check(lam), "witness")
 
     lc = levi_civita(lam)
-    try:    # a sampled side may overflow a float where h itself is finite
+    try:    # a sampled side, or h itself, may overflow a float
         trials = []
         for _ in range(5):
             f = {cid: _random_poly(rng) for cid in h}
@@ -429,9 +475,9 @@ def _glued_suite(cfg, seed, tol):
         add("clifford-connection",
             check_clifford_connection(module, conn_e, lc, batteries, pts, 1e-9),
             "residual")
+        add("unitarity", check_unitarity(module, pts, tol=1e-9), "residual")
     except ArithmeticError as exc:
         raise ConfigError(f"/charts/{_chart_index(cfg, exc.key)}/h: {exc}")
-    add("unitarity", check_unitarity(module, pts, tol=1e-9), "residual")
 
     d = dirac(module)
     for _ in range(5):
@@ -508,9 +554,8 @@ def run(command, cfg, seed=0, tol=None):
                         is_pseudo_metric(fibre["model"], fibre["metric"]),
                         fibre["model"]))
             else:
-                table = multiplication_table(alg)
-                report["values"]["clifford_table"] = {
-                    f"{a} . {b}": v for (a, b), v in table.items()}
+                report["values"]["clifford_table"] = _Table(
+                    (multiplication_table(alg),))
         elif command == "clifford-table":
             raise ConfigError("clifford-table needs a fibre block with a metric")
     if command in ("dirac", "report"):

@@ -210,12 +210,21 @@ def filtration_degree(a):
 
 
 def multiplication_table(alg):
-    """All blade products as {(name_a, name_b): multivector-as-name-map}."""
+    """Every product of two basis blades as a row (name_a, name_b,
+    name_of_ab, coeff), one ``blade_mul`` per row.
+
+    The rows come in the sorted order of the keys "name_a . name_b": a
+    runs over the sorted names, and for each a, b does.  The separator's
+    space sorts below every character of a name, so a name that is a
+    prefix of another still sorts first.
+    """
     names = [alg.blade_name(mask) for mask in range(alg.dim)]
+    order = sorted(range(alg.dim), key=names.__getitem__)
     factors = alg._factors
-    table = {}
-    for sa, name_a in enumerate(names):
-        for sb, name_b in enumerate(names):
+    rows = []
+    for sa in order:
+        name_a = names[sa]
+        for sb in order:
             mask, coeff = blade_mul(sa, sb, factors)
-            table[(name_a, name_b)] = {names[mask]: coeff}
-    return table
+            rows.append((name_a, names[sb], names[mask], coeff))
+    return rows

@@ -156,7 +156,9 @@ def check_unitarity(module, points_per_chart, tol=1e-10):
     unit form (components related by the glue scale, normalized in the
     weighted glue metric).  The sides are floats, so each sample passes
     within ``tol`` times the largest entry max(1, |h|) of its g_E; the
-    residual is the worst absolute difference.
+    residual is the worst absolute difference.  A chart's h that has no
+    float, or whose float is 0.0, raises an ``ArithmeticError`` that names
+    x and carries the chart id as ``key``.
     """
     basis = [[1, 0], [0, 1], [1, 1]]
 
@@ -173,9 +175,14 @@ def check_unitarity(module, points_per_chart, tol=1e-10):
     for cid, pts in points_per_chart.items():
         for x in pts:
             h = module.lam.h_at(cid, x)
-            alpha = 1 / float(h) ** 0.5
-            c = module.action_matrix(cid, x, alpha)
-            gram(lambda e: mat_vec(c, e), h, f"chart {cid}, x = {x}")
+            try:    # an exact h may lie beyond the floats, or round to 0.0
+                alpha = 1 / float(h) ** 0.5
+                c = module.action_matrix(cid, x, alpha)
+                gram(lambda e: mat_vec(c, e), h, f"chart {cid}, x = {x}")
+            except ArithmeticError as exc:  # as symexpr.max_residuals names it
+                err = type(exc)(f"{exc} at x={x}")
+                err.key = cid
+                raise err from None
     for i, cls in enumerate(module.bundle.base.glue_classes):
         rep = module.bundle.rep_point(i)
         g = g_lambda(module.lam, rep)

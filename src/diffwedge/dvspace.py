@@ -156,7 +156,7 @@ def characteristic_subspace(model, a):
 def pairing_map(model, a, v):
     """Coordinates of a(v, .) with respect to the dual_space basis."""
     a = frac_matrix(a)
-    cov = mat_vec(a, [Fraction(x) for x in v])
+    cov = [c for c, in mat_mul(a, [[Fraction(x)] for x in v])]
     dual = model._dual
     coords = solve(transpose(dual), cov) if dual else []
     if coords is None:

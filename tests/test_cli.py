@@ -1,15 +1,20 @@
 import json
 import math
 import os
+import tempfile
 from collections import Counter
 from fractions import Fraction
+from itertools import product
+from unittest import mock
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
-from diffwedge import symexpr
+from diffwedge import cli, symexpr
 from diffwedge.bundle import eval_vector
 from diffwedge.cli import ConfigError, load_config, main, render_report, run
+from diffwedge.clifford import CliffordAlgebra, blade_mul
+from diffwedge.symexpr import ExprSyntaxError
 
 HERE = os.path.dirname(__file__)
 CONFIGS = os.path.join(HERE, os.pardir, "configs")
@@ -122,6 +127,34 @@ DIRAC_AT_POLE = {"charts": [{"id": "a", "h": "1/(x-1/7)^2"},
     ("check", {"charts": [{"id": "a", "h": "exp(x)"}, {"id": "b", "h": "exp(x)"}],
                "gluings": [{"points": [["a", "700"], ["b", "700"]]}]},
      "/charts/0/h"),
+    # a JSON value of the wrong type where the config needs another
+    ("check", {"charts": [5]}, "/charts/0: must be an object"),
+    ("check", {"charts": [{"id": ["a"]}]}, "/charts/0/id: must be a string"),
+    ("check", {"gluings": [5]}, "/gluings/0: must be an object"),
+    ("check", {"fibre": 5}, "/fibre: must be an object"),
+    ("check", {"fibre": {"dim": 2, "nonsmooth": [5]}},
+     "/fibre/nonsmooth/0: must be a list"),
+    ("check", {"fibre": {"dim": 3, "metric": [5, 5, 5]}},
+     "/fibre/metric/0: must be a list"),
+    ("dirac", {**GLUED, "dirac": 5}, "/dirac: must be an object"),
+    ("check", {"charts": [{"id": "a", "h": ["x"]}]}, "/charts/0/h: must be"),
+    ("check", {"charts": [{"id": "a", "h": None}]}, "/charts/0/h: must be"),
+    # every rational value names where it is
+    ("check", {**GLUED, "gluings": [{"points": [["a", 0], ["b", 0]],
+                                     "scale": "abc"}]},
+     "/gluings/0/scale: not a rational number: 'abc'"),
+    ("check", {**GLUED, "gluings": [{"points": [["a", 0], ["b", "abc"]]}]},
+     "/gluings/0/points/1/1: not a rational number"),
+    ("check", {"fibre": {"dim": 2, "nonsmooth": [[0, "abc"]]}},
+     "/fibre/nonsmooth/0/1: not a rational number"),
+    ("check", {"fibre": {"dim": 2, "metric": [[1, 0], ["abc", 1]]}},
+     "/fibre/metric/1/0: not a rational number"),
+    ("dirac", {**GLUED, "dirac": {"sections": [{"a": ["x", "1"],
+                                                "b": ["x", "1"]}],
+                                  "points": [["a", "abc"]]}},
+     "/dirac/points/0/1: not a rational number"),
+    ("check", {"fibre": {"dim": True, "nonsmooth": [[1]]}},
+     "/fibre/dim: must be a positive integer"),
 ], ids=["tol", "glue-point", "nested-parentheses", "long-sum",
         "one-component-section", "point-section-lacks", "point-unknown-chart",
         "charts-object", "gluings-object", "sections-object",
@@ -129,7 +162,12 @@ DIRAC_AT_POLE = {"charts": [{"id": "a", "h": "1/(x-1/7)^2"},
         "h-zero-divisor-on-sample-grid", "chart-outside-gluing",
         "h-zero-divisor-on-checker-grid", "h-zero-on-checker-grid",
         "h-zero-divisor-at-splitting-point", "h-zero-divisor-at-dirac-point",
-        "h-zero-divisor-at-dirac-point-in-report", "h-squared-overflows"])
+        "h-zero-divisor-at-dirac-point-in-report", "h-squared-overflows",
+        "chart-not-object", "chart-id-list", "gluing-not-object",
+        "fibre-not-object", "nonsmooth-row-not-list", "metric-row-not-list",
+        "dirac-not-object", "h-list", "h-null", "scale-not-rational",
+        "glue-coordinate-not-rational", "nonsmooth-entry-not-rational",
+        "metric-entry-not-rational", "dirac-point-not-rational", "dim-true"])
 def test_malformed_values_exit_two(tmp_path, capsys, command, data, pointer):
     assert main([command, write_cfg(tmp_path, data)]) == 2
     assert pointer in capsys.readouterr().err
@@ -192,13 +230,25 @@ def test_zero_and_string_tol_are_usable(tmp_path, capsys):
                "dirac": {**_shipped("wedge_dirac.json")["dirac"],
                          "points": [["c1", "0"], ["c1", "1e400"]]}},
      "/dirac/points/1"),
+    # h is exact on the sample grid, but 2^1100 has no float for unitarity
+    ("check", {"charts": [{"id": "c1", "h": "x^1100+1"},
+                          {"id": "c2", "h": "x^1100+1"}],
+               "gluings": [{"points": [["c1", 0], ["c2", 0]]}]},
+     "/charts/0/h"),
+    # ... and 1/(2^1100 + 1) rounds to the float 0.0
+    ("check", {"charts": [{"id": "c1", "h": "1/(x^1100+1)"},
+                          {"id": "c2", "h": "1/(x^1100+1)"}],
+               "gluings": [{"points": [["c1", 0], ["c2", 0]]}]},
+     "/charts/0/h"),
 ], ids=["h-at-glue-point", "gate-difference", "gate-witness", "scale",
-        "gate-h-inf", "gate-h-nan", "h-on-lambda1-grid", "dirac-point"])
+        "gate-h-inf", "gate-h-nan", "h-on-lambda1-grid", "dirac-point",
+        "exact-h-beyond-floats", "exact-h-below-floats"])
 def test_float_overflow_is_a_config_error(tmp_path, capsys, command, data,
                                           pointer):
     assert main([command, write_cfg(tmp_path, data)]) == 2
     err = capsys.readouterr().err
     assert f"config error: {pointer}: " in err and "Traceback" not in err
+    assert " at x=" in err or pointer.startswith(("/gluings", "/dirac"))
 
 
 def test_config_validation_paths(tmp_path):
@@ -474,3 +524,110 @@ REPORTS = st.recursive(LEAVES, lambda kids: st.one_of(
 def test_render_report_matches_json_dumps(report):
     assert render_report(report) == json.dumps(
         _canon(report), sort_keys=True, indent=2) + "\n"
+
+
+# Diagonals of a Clifford algebra as build_algebra makes them (Fractions)
+# and as a caller may pass them (ints, floats, -0.0), mixed.
+TABLE_DIAGONALS = st.lists(st.one_of(
+    st.integers(-3, 3), st.fractions(max_denominator=7),
+    st.floats(-4, 4, allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0])), max_size=5)
+
+
+@given(TABLE_DIAGONALS)
+@example([1, Fraction(1), -0.0, 0.0, 2.5])
+@example([])
+def test_clifford_table_renders_as_the_old_dict(diag):
+    # the report once held {"a . b": {c: coeff}}, built in mask order
+    alg = CliffordAlgebra(len(diag), (), tuple(diag))
+    names = [alg.blade_name(m) for m in range(alg.dim)]
+    table = {}
+    for sa, sb in product(range(alg.dim), repeat=2):
+        mask, coeff = blade_mul(sa, sb, alg._factors)
+        table[f"{names[sa]} . {names[sb]}"] = {names[mask]: coeff}
+    cfg = {"name": "diag", "tol": 1e-10, "charts": [], "gluings": [],
+           "fibre": {"model": None, "metric": [[0]]}, "dirac": None}
+    with mock.patch.object(cli, "build_algebra", lambda model, g: alg):
+        report, code = run("clifford-table", cfg)
+    assert code == 0
+    old = {**report, "values": {"clifford_table": table}}
+    assert render_report(report) == json.dumps(
+        _canon(old), sort_keys=True, indent=2) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# config fuzzer: one node of a shipped config given a value of another type
+
+def _load_shipped(name):
+    with open(cfg_path(name)) as fh:
+        return json.load(fh)
+
+
+SHIPPED = {name: _load_shipped(name) for name in sorted(os.listdir(CONFIGS))
+           if name.endswith(".json")}
+
+
+def _paths(v, path=()):
+    """The path of every node of the JSON value v, the root's () first."""
+    yield path
+    if isinstance(v, dict):
+        items = v.items()
+    elif isinstance(v, list):
+        items = enumerate(v)
+    else:
+        items = ()
+    for k, x in items:
+        yield from _paths(x, path + (k,))
+
+
+def _kind(v):
+    """The JSON type of v: a bool is no int, an int no float."""
+    return "bool" if isinstance(v, bool) else type(v).__name__
+
+
+def _retyped(v, path, new):
+    """A copy of v with the node at ``path`` replaced by ``new``."""
+    if not path:
+        return new
+    v = json.loads(json.dumps(v))
+    parent = v
+    for k in path[:-1]:
+        parent = parent[k]
+    parent[path[-1]] = new
+    return v
+
+
+NODES = [(name, path) for name, raw in SHIPPED.items() for path in _paths(raw)]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.text(max_size=4), kids, max_size=3), max_leaves=6)
+
+
+@given(st.sampled_from(NODES), JSON_VALUES)
+@example(("two_planes.json", ("charts", 0)), 5)
+@example(("two_planes.json", ("charts", 0, "id")), ["a"])
+@example(("two_planes.json", ("gluings", 0)), 5)
+@example(("two_planes.json", ("fibre",)), 5)
+@example(("two_planes.json", ("fibre", "nonsmooth", 0)), 5)
+@example(("two_planes.json", ("fibre", "metric", 0)), 5)
+@example(("wedge_dirac.json", ("dirac",)), 5)
+@example(("two_planes.json", ("charts", 0, "h")), ["x"])
+@example(("two_planes.json", ("charts", 0, "h")), None)
+@example(("two_planes.json", ("fibre", "dim")), True)
+@example(("two_planes.json", ("tol",)), 10 ** 400)
+def test_retyped_config_node_loads_or_is_a_config_error(node, new):
+    name, path = node
+    raw = SHIPPED[name]
+    old = raw
+    for k in path:
+        old = old[k]
+    assume(_kind(new) != _kind(old))
+    with tempfile.TemporaryDirectory() as tmp:
+        p = os.path.join(tmp, name)
+        with open(p, "w") as fh:
+            json.dump(_retyped(raw, path, new), fh)
+        try:
+            load_config(p)
+        except (ConfigError, ExprSyntaxError):
+            pass

@@ -41,7 +41,7 @@ def test_dimension_is_2_to_n():
 
 def test_one_dim_table():
     alg = diag_algebra([1])
-    table = multiplication_table(alg)
+    table = {(a, b): {c: v} for a, b, c, v in multiplication_table(alg)}
     assert table[("1", "1")] == {"1": 1}
     assert table[("1", "e1")] == {"e1": 1}
     assert table[("e1", "e1")] == {"1": -1}
@@ -282,6 +282,9 @@ def test_multiplication_table_matches_the_bit_loop(diag):
     for sa, sb in product(range(alg.dim), repeat=2):
         mask, coeff = _blade_mul_by_bits(sa, sb, alg.diag)
         want[(names[sa], names[sb])] = {names[mask]: repr(coeff)}
-    got = {k: {m: repr(c) for m, c in v.items()}
-           for k, v in multiplication_table(alg).items()}
-    assert got == want
+    rows = multiplication_table(alg)
+    got = {(a, b): {c: repr(v)} for a, b, c, v in rows}
+    assert got == want and len(rows) == len(want)
+    # the rows come in the sorted order of the report keys "a . b"
+    keys = [f"{a} . {b}" for a, b, _, _ in rows]
+    assert keys == sorted(keys)

@@ -101,11 +101,25 @@ FIBRE_24 = {
                [22, -11, 23, -9, 3, -31, 7, 2, 2, 43, -5, 0, 5, 0, -1, 8, -2, 3, 0, -23, -5, 58, 0, 17],
                [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
                [49, -2, 15, -21, 6, -2, 1, -15, 0, 37, -19, -3, 1, 0, 0, 22, 2, 3, 0, -2, 2, 17, 0, 48]]}
+# FIBRE_7 is fibre_config(random.Random(7), 7, 2), pinned before the
+# Clifford table became rows written straight into the report.
+FIBRE_7 = {
+    "dim": 7,
+    "nonsmooth": [[1, 1, 0, 0, 1, 2, 1], [0, 0, -1, 0, -1, 0, -1]],
+    "metric": [[6, 6, 0, -3, -1, -6, 1],
+               [6, 21, 3, -9, -4, -12, 1],
+               [0, 3, 3, 0, -3, 0, 0],
+               [-3, -9, 0, 6, 0, 6, 0],
+               [-1, -4, -3, 0, 4, 1, -1],
+               [-6, -12, 0, 6, 1, 9, -1],
+               [1, 1, 0, 0, -1, -1, 1]]}
 INLINE = [
     ("dual-metric-dim10", "dual-metric", FIBRE_10, 0,
      "bac3a97f62851168e7cfcdc59e145c9fc3a4f59548dd926eee1be05e664a4b53"),
     ("clifford-table-dim8", "clifford-table", FIBRE_8, 0,
      "21187c1809b857773ab8ae7e9c3a7e264e896e5a70dbc25901f136c8f26fea4c"),
+    ("clifford-table-dim7", "clifford-table", FIBRE_7, 0,
+     "eedad2c7d188712bccbf3f50797d3698bc21197a99b6735778a521b1fd0676da"),
     ("dual-metric-dim24", "dual-metric", FIBRE_24, 0,
      "f878fccdd0dd8b7c9aaf139169c046a188883863ada68fd304b0907a7ff9dc51"),
     # the zero-diagonal direction e1 is skipped as a pivot and comes last
