@@ -25,7 +25,7 @@ from .connection import check_leibniz, check_metric_compatibility, \
     dual_connection, is_symmetric_connection, koszul_check, levi_civita
 from .dirac import check_action_compatibility, check_algebra_morphism, \
     check_clifford_connection, check_unitarity, clifford_connection, dirac, \
-    dirac_value_at, exterior_module, verify_splitting
+    dirac_values, exterior_module, verify_splitting
 from .dvspace import DvsModel, check_map_compatibility, dual_space, \
     dual_metric, is_pseudo_metric, pairing_map, smooth_form_basis, \
     standard_model
@@ -40,12 +40,22 @@ class ConfigError(ValueError):
 
 def _frac(v, where):
     """``v``, an int or a string such as "-3/4" or "1e-3", as a Fraction;
-    anything else, a bool too, is a config error at ``where``."""
+    anything else, a bool too, is a config error at ``where``.
+
+    ``Fraction`` expands an exponent into 10**exp, so an exponent beyond
+    the interpreter's int digit limit, which already bounds the digits
+    written out, is a config error instead of a hang."""
     try:
         if isinstance(v, str):
+            _, e, exp = v.lower().partition("e")
+            limit = sys.get_int_max_str_digits()
+            if e and limit and abs(int(exp)) > limit:
+                raise ConfigError(f"{where}: more than {limit} digits: {v!r}")
             return Fraction(v)
         if isinstance(v, int) and not isinstance(v, bool):
             return Fraction(v)
+    except ConfigError:
+        raise
     except (ValueError, ZeroDivisionError):
         pass
     raise ConfigError(f"{where}: not a rational number: {v!r}")
@@ -110,7 +120,7 @@ def load_config(path):
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # bad JSON, or an int beyond the digit limit
         raise ConfigError(f"config is not valid JSON: {exc}")
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
@@ -567,17 +577,15 @@ def run(command, cfg, seed=0, tol=None):
                     report["verdicts"].append(_verdict(
                         "metric-glue-compatibility", gate, "witness"))
             else:
-                d = dirac(module)
-                out = []
-                for comp in cfg["dirac"]["sections"]:
-                    row = {}
-                    for k, p in enumerate(cfg["dirac"]["points"]):
-                        try:    # h may divide by zero where no checker looks
-                            row[f"{p[0]}@{p[1]}"] = dirac_value_at(d, comp, p)
-                        except ArithmeticError as exc:
-                            raise ConfigError(f"/dirac/points/{k}: {exc}")
-                    out.append(row)
-                report["values"]["dirac"] = out
+                points = cfg["dirac"]["points"]
+                try:    # h may divide by zero where no checker looks
+                    values = dirac_values(dirac(module),
+                                          cfg["dirac"]["sections"], points)
+                except ArithmeticError as exc:
+                    raise ConfigError(f"/dirac/points/{exc.index}: {exc}")
+                report["values"]["dirac"] = [
+                    {f"{p[0]}@{p[1]}": v for p, v in zip(points, row)}
+                    for row in values]
         elif command == "dirac":
             raise ConfigError("dirac command needs a dirac block")
     failed = [v["name"] for v in report["verdicts"] if not v["pass"]]

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .symexpr import ZERO, ONE, Verdict, simplify
+from .symexpr import ZERO, ONE, Verdict, evaluate_all, simplify
 from .bundle import PseudoBundle, as_expr, eval_vector, glue_bundles, \
     trivial_bundle
 from .connection import Connection, _chartwise, _nabla, \
@@ -298,6 +298,50 @@ def dirac_value_at(d, comps, p):
     rep = d.module.bundle.rep_point(i)
     # c~ = action of the representative branch on its slot of the value
     return mat_vec(d.module.action_matrix(rep[0], rep[1], 1), nabla[rep])
+
+
+def dirac_values(d, sections, points):
+    """``[[dirac_value_at(d, s, p) for p in points] for s in sections]``.
+
+    Glue points go through ``dirac_value_at``.  The other points are taken
+    chart by chart: the D s components of every section on one chart are
+    compiled into one tape, run once per point, so what the sections share
+    there (h, Gamma, common terms) is computed once per point.
+
+    On an ``ArithmeticError`` the values are computed again in the order
+    above, by ``dirac_value_at`` alone, and the first error raised there is
+    raised, carrying the index of its point as ``index``.
+    """
+    pts = [_as_point(p) for p in points]
+    class_of = d.module.bundle.base.class_of
+    out = [[None] * len(pts) for _ in sections]
+    charts = {}         # chart id -> indices of its points off the glue
+    try:
+        for k, p in enumerate(pts):
+            if class_of(p) is None:
+                charts.setdefault(p[0], []).append(k)
+            else:
+                for row, s in zip(out, sections):
+                    row[k] = dirac_value_at(d, s, p)
+        for cid, ks in charts.items():
+            roots = [e for s in sections for e in _dirac_chart(d, s, cid)]
+            for k, v in zip(ks, evaluate_all(roots, [pts[k][1] for k in ks])):
+                for j, row in enumerate(out):     # D s has two components
+                    row[k] = v[2 * j:2 * j + 2]
+        return out
+    except ArithmeticError:
+        pass
+    out = []
+    for s in sections:
+        row = []
+        for k, p in enumerate(pts):
+            try:
+                row.append(dirac_value_at(d, s, p))
+            except ArithmeticError as exc:
+                exc.index = k
+                raise
+        out.append(row)
+    return out
 
 
 def _dirac_chart(d, comps, cid):

@@ -362,6 +362,20 @@ def evaluate(e, x):
     return Fraction(*v) if type(v) is tuple else v
 
 
+def evaluate_all(exprs, xs):
+    """``[[evaluate(e, x) for e in exprs] for x in xs]``, each value of the
+    same type and, for a float, the same bits.
+
+    ``exprs`` are compiled into one tape, which runs once per point, so a
+    subtree shared by any of them is computed once per point; the tape is
+    stored on no node.  At the first point where some expression raises,
+    an ``ArithmeticError`` of the type ``evaluate`` would raise for one of
+    them names the point.
+    """
+    return [[Fraction(*a) if type(a) is tuple else a for a in v]
+            for v in _runs(exprs, xs)]
+
+
 # Values: an exact value is a pair (n, d) of ints with d != 0, neither
 # reduced nor sign-normalised; any other value is a float.  Each operation
 # takes two arguments: a unary one ignores its second, and a power's second
@@ -526,6 +540,17 @@ def _run(tape, x):
     return [r[i] for i in outs]
 
 
+def _runs(roots, xs):
+    """The values of ``roots`` at each point of ``xs``, from one tape run
+    once per point; an ``ArithmeticError`` names the point."""
+    tape = _compile(roots) if xs else None
+    for x in xs:
+        try:
+            yield _run(tape, _value(x))
+        except ArithmeticError as exc:     # e.g. h^2 overflows a float
+            raise type(exc)(f"{exc} at x={x}") from None
+
+
 def _first_worst(samples):
     """(worst, at) over (residual, at) ``samples``: the first sample whose
     residual exceeds every earlier one, or (0.0, None) while all are 0."""
@@ -555,20 +580,15 @@ def max_residuals(groups, points):
         sides.setdefault(key, []).extend(s for pair in pairs for s in pair)
     residuals = {}     # key -> per point, the residual of each pair
     for key, roots in sides.items():
-        xs = points.get(key, ())
-        tape = _compile(roots) if xs else None
-        rows = residuals[key] = []
-        for x in xs:
-            try:
-                v = _run(tape, _value(x))
-            except ArithmeticError as exc:     # e.g. h^2 overflows a float
-                err = type(exc)(f"{exc} at x={x}")
-                err.key = key
-                raise err from None
+        try:
             # exactly float(abs(Fraction(lhs) - Fraction(rhs))): n / d is
             # correctly rounded, and a float meets -rhs as it meets rhs
-            rows.append([abs(_float(_add(v[i], _neg(v[i + 1], None))))
-                         for i in range(0, len(v), 2)])
+            residuals[key] = [[abs(_float(_add(v[i], _neg(v[i + 1], None))))
+                               for i in range(0, len(v), 2)]
+                              for v in _runs(roots, points.get(key, ()))]
+        except ArithmeticError as exc:
+            exc.key = key
+            raise
     out = []
     start = dict.fromkeys(sides, 0)     # key -> its next group's first pair
     for key, pairs in groups:
@@ -608,7 +628,10 @@ class Verdict:
 def differentiate(e):
     """Symbolic d/dx; the result is again an expression tree.
 
-    The result is simplified and cached on ``e``.
+    The result is simplified and cached on ``e``.  A node whose simplified
+    form is a constant, such as the literal ``(-4/3)`` parsed as
+    ``Div(Neg(4), 3)``, has the derivative ``ZERO`` at once, which is what
+    the rules below would build for it.
     """
     d = e._deriv
     if d is not None:
@@ -617,7 +640,9 @@ def differentiate(e):
         return ZERO
     if isinstance(e, Var):
         return ONE
-    if isinstance(e, Neg):
+    if type(simplify(e)) is Const:
+        d = ZERO
+    elif isinstance(e, Neg):
         d = simplify(Neg(differentiate(e.children[0])))
     elif isinstance(e, Add):
         a, b = e.children

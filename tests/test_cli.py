@@ -2,6 +2,7 @@ import json
 import math
 import os
 import tempfile
+import time
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -60,6 +61,16 @@ def test_bad_json_is_exit_two(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text("{not json")
     assert main(["check", str(p)]) == 2
+
+
+def test_json_int_beyond_the_digit_limit_is_exit_two(tmp_path, capsys):
+    p = tmp_path / "big.json"
+    p.write_text('{"charts": [{"id": "a"}, {"id": "b"}], "gluings": [{"points":'
+                 ' [["a", 0], ["b", 0]], "scale": ' + "1" * 5000 + "}]}")
+    assert main(["check", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: config is not valid JSON: " in err
+    assert "Traceback" not in err
 
 
 GLUED = {"charts": [{"id": "a"}, {"id": "b"}],
@@ -155,6 +166,24 @@ DIRAC_AT_POLE = {"charts": [{"id": "a", "h": "1/(x-1/7)^2"},
      "/dirac/points/0/1: not a rational number"),
     ("check", {"fibre": {"dim": True, "nonsmooth": [[1]]}},
      "/fibre/dim: must be a positive integer"),
+    # an exponent beyond the int digit limit, which Fraction would expand
+    ("check", {**GLUED, "gluings": [{"points": [["a", 0], ["b", 0]],
+                                     "scale": "1e999999999999"}]},
+     "/gluings/0/scale: more than 4300 digits: '1e999999999999'"),
+    ("check", {**GLUED, "gluings": [{"points": [["a", "-1E-999999999999"],
+                                                ["b", 0]]}]},
+     "/gluings/0/points/0/1: more than 4300 digits"),
+    ("dirac", {**GLUED, "dirac": {"sections": [{"a": ["x", "1"],
+                                                "b": ["x", "1"]}],
+                                  "points": [["a", "1.5e+1_000_000"]]}},
+     "/dirac/points/0/1: more than 4300 digits"),
+    # the first error in section order, then point order: section 1 fails
+    # at a point before the one where section 0 fails
+    ("dirac", {**GLUED, "dirac": {
+        "sections": [{"a": ["1/(x-2/5)", "1"], "b": ["1", "x"]},
+                     {"a": ["1/(x-1/5)", "1"], "b": ["x", "1"]}],
+        "points": [["a", 0], ["a", "1/5"], ["a", "2/5"]]}},
+     "/dirac/points/2: division by zero at x=2/5"),
 ], ids=["tol", "glue-point", "nested-parentheses", "long-sum",
         "one-component-section", "point-section-lacks", "point-unknown-chart",
         "charts-object", "gluings-object", "sections-object",
@@ -167,7 +196,9 @@ DIRAC_AT_POLE = {"charts": [{"id": "a", "h": "1/(x-1/7)^2"},
         "fibre-not-object", "nonsmooth-row-not-list", "metric-row-not-list",
         "dirac-not-object", "h-list", "h-null", "scale-not-rational",
         "glue-coordinate-not-rational", "nonsmooth-entry-not-rational",
-        "metric-entry-not-rational", "dirac-point-not-rational", "dim-true"])
+        "metric-entry-not-rational", "dirac-point-not-rational", "dim-true",
+        "scale-exponent", "glue-coordinate-exponent", "dirac-point-exponent",
+        "dirac-error-in-section-order"])
 def test_malformed_values_exit_two(tmp_path, capsys, command, data, pointer):
     assert main([command, write_cfg(tmp_path, data)]) == 2
     assert pointer in capsys.readouterr().err
@@ -261,6 +292,35 @@ def test_config_validation_paths(tmp_path):
         load_config(write_cfg(
             tmp_path, {"charts": [{"id": "a"}],
                        "gluings": [{"points": [["a", 0], ["z", 0]]}]}))
+
+
+@pytest.mark.parametrize("value", ["1e999999999999", "-1E-999999999999",
+                                   "1.5e+1_000_000", "1e4301"])
+@pytest.mark.parametrize("where", ["scale", "coordinate", "dirac-point"])
+def test_huge_exponents_are_rejected_at_once(tmp_path, where, value):
+    # Fraction would build 10**exp: "1e1000000" alone takes about 0.4 s
+    data = {**GLUED, "dirac": {"sections": [{"a": ["x", "1"], "b": ["x", "1"]}],
+                               "points": [["a", "1/2"]]}}
+    if where == "scale":
+        data["gluings"] = [{"points": [["a", 0], ["b", 0]], "scale": value}]
+    elif where == "coordinate":
+        data["gluings"] = [{"points": [["a", value], ["b", 0]]}]
+    else:
+        data["dirac"]["points"] = [["a", value]]
+    path = write_cfg(tmp_path, data)
+    start = time.perf_counter()
+    with pytest.raises(ConfigError, match="more than 4300 digits"):
+        load_config(path)
+    assert time.perf_counter() - start < 1
+
+
+def test_exponents_within_the_digit_limit_load(tmp_path):
+    data = {**GLUED, "dirac": {"sections": [{"a": ["x", "1"], "b": ["x", "1"]}],
+                               "points": [["a", "1e-3"], ["a", "25E-1"],
+                                          ["a", "1e4300"]]}}
+    cfg = load_config(write_cfg(tmp_path, data))
+    assert [p[1] for p in cfg["dirac"]["points"]] == [
+        Fraction(1, 1000), Fraction(5, 2), Fraction(10) ** 4300]
 
 
 def test_report_is_byte_stable(tmp_path):

@@ -11,7 +11,7 @@ from diffwedge.dirac import (CliffordModule, DiracOperator, apply_dirac,
                              check_algebra_morphism, check_clifford_connection,
                              check_unitarity, clifford_algebra_map,
                              clifford_connection, dirac, dirac_value_at,
-                             exterior_module, glue_dirac,
+                             dirac_values, exterior_module, glue_dirac,
                              single_chart_module, verify_splitting)
 from diffwedge.forms import lambda1
 from diffwedge.symexpr import ZERO, evaluate, parse_expr
@@ -200,3 +200,110 @@ def test_glue_dirac_rejects_incompatible_actions():
                          {p: Fraction(3) for p in m.scales})
     with pytest.raises(ValueError, match="not compatible"):
         glue_dirac(dirac_leg(m, "a"), dirac_leg(m, "b"), bad)
+
+
+# dirac_values against the per-point dirac_value_at: (h1, h2, glue scale)
+# with h1(0) = scale^2 h2(0), exact on polynomial and rational charts and
+# float on exp and cos charts
+DIRAC_MODULES = {
+    "poly": ("x^2+1", "4*x^2+1/4", 2),
+    "rational": ("1/(1+x^2)", "(x^2+x+1)/(x^2+1)", 1),
+    "exp": ("exp(x)", "exp(-x)", 1),
+    "cos": ("cos(x)+3", "16+x", Fraction(1, 2)),
+}
+SECTION_KINDS = ["{p}", "({p})/(x^2+2)", "exp({p})", "cos({p})*x"]
+
+
+def _value_bits(v):
+    """A Dirac value by the type of each component and its exact value or
+    float bits."""
+    return [(type(c), c.hex() if isinstance(c, float) else c) for c in v]
+
+
+def _outcomes(f):
+    try:
+        return f()
+    except ArithmeticError as exc:
+        return type(exc), str(exc), getattr(exc, "index", None)
+
+
+def _per_point(d, sections, points):
+    """The reference: section by section, point by point."""
+    for s in sections:
+        for k, p in enumerate(points):
+            try:
+                dirac_value_at(d, s, p)
+            except ArithmeticError as exc:
+                return type(exc), str(exc), k
+    return [[_value_bits(dirac_value_at(d, s, p)) for p in points]
+            for s in sections]
+
+
+def _random_sections(rng, n):
+    return [{cid: [rng.choice(SECTION_KINDS).format(p=rnd_poly(rng))
+                   for _ in range(2)] for cid in "ab"} for _ in range(n)]
+
+
+@pytest.mark.parametrize("h1, h2, scale", DIRAC_MODULES.values(),
+                         ids=DIRAC_MODULES.keys())
+def test_dirac_values_match_the_per_point_values(h1, h2, scale):
+    rng = random.Random(h1)
+    points = ([("a", 0), ("b", 0)] + [("a", x) for x in GRID[::3]]
+              + [("b", x) for x in GRID[1::4]] + [("a", 0), ("b", "1/3")])
+    for n in (1, 3, 6):
+        sections = _random_sections(rng, n)
+        got = _outcomes(lambda: [[_value_bits(v) for v in row] for row in
+                                 dirac_values(dirac(wedge_module(h1, h2, scale)),
+                                              sections, points)])
+        assert got == _per_point(dirac(wedge_module(h1, h2, scale)), sections,
+                                 points)
+        assert isinstance(got, list) and len(got) == n
+
+
+def test_dirac_values_without_points_or_sections():
+    d = dirac(wedge_module())
+    assert dirac_values(d, [], [("a", 1)]) == []
+    assert dirac_values(d, [{"a": ["x", "1"], "b": ["1", "x"]}], []) == [[]]
+
+
+@pytest.mark.parametrize("sections, points, message, index", [
+    # section 1 fails at 1/5, before section 0 fails at 2/5
+    ([{"a": ["1/(x-2/5)", "1"], "b": ["1", "x"]},
+      {"a": ["1/(x-1/5)", "1"], "b": ["x", "1"]}],
+     [("a", 0), ("a", Fraction(1, 5)), ("a", Fraction(2, 5))],
+     "division by zero at x=2/5", 2),
+    # a glue point comes after the failing chart point in point order
+    ([{"a": ["x", "1/(x-1)"], "b": ["1", "x"]},
+      {"a": ["1/x", "1"], "b": ["x", "1"]}],
+     [("a", 1), ("b", 0)], "division by zero at x=1", 0),
+    # ... and before it: the glue point fails first
+    ([{"a": ["x", "1"], "b": ["1", "x"]},
+      {"a": ["1/x", "1"], "b": ["x", "1/(x-2)"]}],
+     [("a", 0), ("b", 2)], "division by zero at x=0", 0),
+    # a float overflow in one section, a zero divisor in the next
+    ([{"a": ["exp(x^3)", "1"], "b": ["1", "x"]},
+      {"a": ["1/(x-3)", "1"], "b": ["x", "1"]}],
+     [("a", 3), ("a", 10)], "math range error at x=10", 1),
+])
+def test_dirac_values_raise_the_first_error_in_section_order(sections, points,
+                                                             message, index):
+    d = dirac(wedge_module("1", "1"))
+    with pytest.raises(ArithmeticError) as info:
+        dirac_values(d, sections, points)
+    assert (str(info.value), info.value.index) == (message, index)
+    assert _per_point(dirac(wedge_module("1", "1")), sections, points) == (
+        type(info.value), message, index)
+
+
+def test_dirac_values_compile_one_tape_per_chart(monkeypatch):
+    from diffwedge import dirac as dirac_module
+    calls = []
+    batch, at = dirac_module.evaluate_all, dirac_module.dirac_value_at
+    monkeypatch.setattr(dirac_module, "evaluate_all", lambda exprs, xs:
+                        calls.append((len(exprs), list(xs))) or batch(exprs, xs))
+    monkeypatch.setattr(dirac_module, "dirac_value_at", lambda d, s, p:
+                        calls.append(p) or at(d, s, p))
+    sections = [{"a": [f"x^2+{k}", "x"], "b": ["1", f"{k}*x"]} for k in range(4)]
+    points = [("a", 1), ("b", 0), ("a", 2), ("b", 5)]
+    dirac_values(dirac(wedge_module()), sections, points)
+    assert calls == [("b", 0)] * 4 + [(8, [1, 2]), (8, [5])]

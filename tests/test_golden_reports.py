@@ -132,6 +132,22 @@ INLINE = [
      "f800533ff873ada78fac393cb7b245d4629d90143c392554f57ccbfe87d5b341"),
 ]
 
+# Three Dirac sections over an exp chart glued with scale 2 to a chart whose
+# h has a cos; the points include both branches of the glue point.  Pinned
+# while each value was still evaluated per section and point.
+DIRAC_EXP = {
+    "name": "exp-three-sections",
+    "charts": [{"id": "a", "h": "exp(x)"}, {"id": "b", "h": "(1+x^2)/(3+cos(x))"}],
+    "gluings": [{"points": [["a", "0"], ["b", "0"]], "scale": "2"}],
+    "dirac": {
+        "sections": [
+            {"a": ["x^3-(4/3)*x+1/7", "exp(-x)"], "b": ["(-4/3)*x^2+x", "1/(x+2)"]},
+            {"a": ["1/(1+x^2)", "x"], "b": ["2", "x^4-1/3"]},
+            {"a": ["exp(x)*x", "cos(2*x)"], "b": ["(x-1)/(x+3)", "-x"]}],
+        "points": [["a", "0"], ["b", "0"], ["a", "-1"], ["a", "1/3"], ["a", "5/2"],
+                   ["b", "1/2"], ["b", "-7/4"], ["a", "1e-3"], ["b", "3/2"]]}}
+DIRAC_EXP_DIGEST = "3cf201411dbca3af8499a372c8c28b7ee23e361a61f71b3d70bef2e9720f9cda"
+
 
 def _report(command, config, seed):
     out = io.StringIO()
@@ -158,3 +174,13 @@ def test_fibre_report_bytes_are_pinned(tmp_path, command, fibre, code, digest):
         got = main([command, str(path)])
     assert (got, hashlib.sha256(out.getvalue().encode()).hexdigest()) == (
         code, digest)
+
+
+def test_dirac_report_bytes_are_pinned(tmp_path):
+    path = tmp_path / "dirac.json"
+    path.write_text(json.dumps(DIRAC_EXP))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        got = main(["dirac", str(path)])
+    assert (got, hashlib.sha256(out.getvalue().encode()).hexdigest()) == (
+        0, DIRAC_EXP_DIGEST)

@@ -273,6 +273,25 @@ def test_compiled_evaluation_matches_the_walk(e, xs):
     _matches_the_fraction_walk(e, xs)
 
 
+@given(st.lists(rich, min_size=1, max_size=4), st.lists(points, max_size=4))
+def test_evaluate_all_matches_evaluate(es, xs):
+    # evaluate on fresh copies is the reference: the rows hold its values,
+    # and an error is one it raises at the first point where any raises
+    want = [[_outcome(evaluate, _copy(e), x) for e in es] for x in xs]
+    raised = [[o for o in row if issubclass(o[0], ArithmeticError)]
+              for row in want]
+    try:
+        rows = symexpr.evaluate_all(es, xs)
+    except ArithmeticError as exc:
+        first = next(errors for errors in raised if errors)
+        assert (type(exc), str(exc)) in first
+    else:
+        assert not any(raised)
+        assert [[_outcome(lambda v, _: v, v, None) for v in row]
+                for row in rows] == want
+    assert all(e._tape is None for e in es)
+
+
 _SUM60 = Const(0)
 for _k in range(1, 61):                # 60 terms of distinct denominators
     _SUM60 = Add(_SUM60, Div(Const(Fraction(_k % 7 - 3, _k)), X + Const(_k)))
@@ -333,6 +352,53 @@ def test_simplify_and_differentiate_are_cached(e):
     assert differentiate(e) is d and simplify(d) is d
     fresh = _copy(e)
     assert simplify(fresh) == s and differentiate(_copy(e)) == d
+
+
+def _rule_derivative(e):
+    """The reference: d/dx by the rules alone, with no cache and no
+    shortcut for a subtree that simplifies to a constant."""
+    d = _rule_derivative
+    if isinstance(e, Const):
+        return ZERO
+    if isinstance(e, symexpr.Var):
+        return ONE
+    kids = e.children
+    if isinstance(e, Neg):
+        return simplify(Neg(d(kids[0])))
+    if isinstance(e, Add):
+        return simplify(Add(d(kids[0]), d(kids[1])))
+    if isinstance(e, Mul):
+        a, b = kids
+        return simplify(Add(Mul(d(a), b), Mul(a, d(b))))
+    if isinstance(e, Div):
+        a, b = kids
+        return simplify(Div(Add(Mul(d(a), b), Neg(Mul(a, d(b)))), Pow(b, 2)))
+    if isinstance(e, Pow):
+        k = e.exponent
+        return ZERO if k == 0 else simplify(
+            Mul(Mul(Const(k), Pow(kids[0], k - 1)), d(kids[0])))
+    a = kids[0]
+    if isinstance(e, Exp):
+        return simplify(Mul(Exp(a), d(a)))
+    if isinstance(e, Sin):
+        return simplify(Mul(Cos(a), d(a)))
+    return simplify(Neg(Mul(Sin(a), d(a))))
+
+
+@given(rich)
+def test_differentiate_matches_the_rules(e):
+    assert repr(differentiate(_copy(e))) == repr(_rule_derivative(_copy(e)))
+
+
+def test_a_constant_literal_has_derivative_zero_at_once():
+    e = parse_expr("(-4/3)")
+    assert repr(e) == "Div(Neg(Const(4)), Const(3))"
+    assert differentiate(e) is ZERO
+    # 1/0 simplifies to no constant: its derivative still raises
+    d = differentiate(parse_expr("1/0+x"))
+    assert repr(d) == repr(_rule_derivative(parse_expr("1/0+x")))
+    with pytest.raises(ZeroDivisionError):
+        evaluate(d, 1)
 
 
 def test_caches_make_no_reference_cycles():
