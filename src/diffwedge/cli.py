@@ -356,6 +356,10 @@ def _build_module(cfg):
         raise ConfigError("exactly one gluing is supported for the glued suites")
     g = cfg["gluings"][0]
     glued = {g["from"][0], g["to"][0]}
+    if len(glued) == 1:
+        raise ConfigError("/gluings/0: glues chart "
+                          f"{g['from'][0]!r} to itself; the two legs need "
+                          "distinct charts")
     for i, c in enumerate(cfg["charts"]):
         if c["id"] not in glued:
             raise ConfigError(f"/charts/{i}: not in the gluing")

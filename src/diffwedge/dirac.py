@@ -10,7 +10,7 @@ the glue point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .symexpr import ZERO, ONE, Verdict, evaluate_all, simplify
@@ -257,9 +257,6 @@ def check_clifford_connection(module, conn_e, lam_conn, batteries, points,
 class DiracOperator:
     module: CliffordModule
     connection: Connection
-    # D s on one chart, built once per section: see _dirac_chart
-    _charts: dict = field(default_factory=dict, init=False, repr=False,
-                          compare=False)
 
 
 def dirac(module):
@@ -293,7 +290,7 @@ def dirac_value_at(d, comps, p):
     base = d.module.bundle.base
     i = base.class_of(p)
     if i is None:
-        return eval_vector(_dirac_chart(d, comps, p[0]), p[1])
+        return eval_vector(apply_dirac_chart(d, comps, p[0]), p[1])
     nabla = connection_value_at(d.connection, comps, p)
     rep = d.module.bundle.rep_point(i)
     # c~ = action of the representative branch on its slot of the value
@@ -324,7 +321,7 @@ def dirac_values(d, sections, points):
                 for row, s in zip(out, sections):
                     row[k] = dirac_value_at(d, s, p)
         for cid, ks in charts.items():
-            roots = [e for s in sections for e in _dirac_chart(d, s, cid)]
+            roots = [e for s in sections for e in apply_dirac_chart(d, s, cid)]
             for k, v in zip(ks, evaluate_all(roots, [pts[k][1] for k in ks])):
                 for j, row in enumerate(out):     # D s has two components
                     row[k] = v[2 * j:2 * j + 2]
@@ -342,21 +339,6 @@ def dirac_values(d, sections, points):
                 raise
         out.append(row)
     return out
-
-
-def _dirac_chart(d, comps, cid):
-    """``apply_dirac_chart(d, comps, cid)``, built once per section.
-
-    The value is cached on ``d`` under the chart and the identities of the
-    section's components.  The entry holds the components themselves, so
-    no other object can take one of their identities while it lives.
-    """
-    s = comps[cid]
-    key = (cid, *map(id, s))
-    hit = d._charts.get(key)
-    if hit is None:
-        hit = d._charts[key] = (tuple(s), apply_dirac_chart(d, comps, cid))
-    return hit[1]
 
 
 def glue_dirac(d1, d2, module):
@@ -378,18 +360,22 @@ def verify_splitting(d, s1_comps, s2_comps, points, tol=1e-10):
 
     Both sides are representative-fibre values; at glue classes the
     right side is the second leg's Dirac value, the left side is the
-    full glue-fibre assembly.
+    full glue-fibre assembly.  The left side comes from ``dirac_values``,
+    the right from one ``evaluate_all`` call per chart.
     """
-    module = d.module
+    bundle = d.module.bundle
     comps = {**s1_comps, **s2_comps}
-    legs = apply_dirac(d, comps)
-    samples = []
-    for p in points:
-        p = _as_point(p)
-        lhs = dirac_value_at(d, comps, p)
-        i = module.bundle.base.class_of(p)
-        q = module.bundle.rep_point(i) if i is not None else p
-        rhs = eval_vector(legs[q[0]], q[1])
-        samples += [(abs(float(l - r)), f"chart {p[0]}, x = {p[1]}")
-                    for l, r in zip(lhs, rhs)]
-    return Verdict.within(tol, samples)
+    pts = [_as_point(p) for p in points]
+    lhs = dirac_values(d, [comps], pts)[0]
+    qs = []             # where each right side is taken
+    for p in pts:
+        i = bundle.base.class_of(p)
+        qs.append(bundle.rep_point(i) if i is not None else p)
+    rhs = [None] * len(pts)
+    for cid, legs in apply_dirac(d, comps).items():
+        ks = [k for k, q in enumerate(qs) if q[0] == cid]
+        for k, v in zip(ks, evaluate_all(legs, [qs[k][1] for k in ks])):
+            rhs[k] = v
+    return Verdict.within(tol, [(abs(float(l - r)), f"chart {p[0]}, x = {p[1]}")
+                                for p, ls, rs in zip(pts, lhs, rhs)
+                                for l, r in zip(ls, rs)])

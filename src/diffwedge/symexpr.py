@@ -21,19 +21,19 @@ class Expr:
     Nodes are immutable; operators build new trees.  Python numbers are
     coerced to constant nodes.
 
-    A node caches what is derived from it: its simplified form, its
-    derivative and, from its second evaluation on, a compiled tape.  The
-    caches hold only nodes built from the node's own subtrees, never the
-    node itself, so caching creates no reference cycle.
+    A node caches what is derived from it: its simplified form and its
+    derivative.  The caches hold only nodes built from the node's own
+    subtrees, never the node itself, so caching creates no reference
+    cycle.  A compiled tape lives for one ``evaluate_all`` or
+    ``max_residuals`` call and is stored on no node.
     """
 
-    __slots__ = ("children", "_simple", "_deriv", "_tape")
+    __slots__ = ("children", "_simple", "_deriv")
 
     def __init__(self, *children):
         self.children = children
-        # _simple: None, True (this node is simplified) or its simplified
-        # form; _tape: None, False (evaluated once) or the compiled tape
-        self._simple = self._deriv = self._tape = None
+        # _simple: None, True (this node is simplified) or its simplified form
+        self._simple = self._deriv = None
 
     def __add__(self, other):
         return Add(self, _coerce(other))
@@ -341,22 +341,12 @@ def evaluate(e, x):
     meets a float the way a ``Fraction`` does, as ``n / d``, so float
     results equal those of ``Fraction`` arithmetic to the bit.
 
-    The first evaluation of a node walks it, computing each subtree object
-    once; later ones run a tape compiled once for the node, which computes
-    each structurally distinct subtree once, with the walk's operations in
-    the walk's order.
+    The tree is walked once, computing each subtree object once.  To
+    evaluate many expressions at many points, ``evaluate_all`` compiles
+    them into one tape.
     """
-    v = _value(x)
-    tape = e._tape
     try:
-        if tape is None:
-            if e.children:
-                e._tape = False
-            v = _walk(e, v, {})
-        else:
-            if tape is False:
-                tape = e._tape = _compile([e])
-            (v,) = _run(tape, v)
+        v = _walk(e, _value(x), {})
     except ArithmeticError as exc:      # a zero divisor or a float overflow
         raise type(exc)(f"{exc} at x={x}") from None
     return Fraction(*v) if type(v) is tuple else v
@@ -597,12 +587,6 @@ def max_residuals(groups, points):
         out.append(_first_worst((row[j], x) for j in range(i, i + len(pairs))
                                 for x, row in zip(xs, rows)))
     return out
-
-
-def max_residual(pairs, points):
-    """Worst sampled residual of the identities ``lhs = rhs`` in ``pairs``
-    at ``points``: the one-group case of ``max_residuals``."""
-    return max_residuals([(None, pairs)], {None: points})[0]
 
 
 @dataclass(frozen=True)

@@ -184,6 +184,13 @@ DIRAC_AT_POLE = {"charts": [{"id": "a", "h": "1/(x-1/7)^2"},
                      {"a": ["1/(x-1/5)", "1"], "b": ["x", "1"]}],
         "points": [["a", 0], ["a", "1/5"], ["a", "2/5"]]}},
      "/dirac/points/2: division by zero at x=2/5"),
+    # one chart glued to itself is no wedge of two legs
+    *[(command, {"charts": [{"id": "a"}],
+                 "gluings": [{"points": [["a", 0], ["a", 1]]}],
+                 "dirac": {"sections": [{"a": ["x", "1"]}],
+                           "points": [["a", 1]]}},
+       "/gluings/0: glues chart 'a' to itself")
+      for command in ("check", "report", "dirac")],
 ], ids=["tol", "glue-point", "nested-parentheses", "long-sum",
         "one-component-section", "point-section-lacks", "point-unknown-chart",
         "charts-object", "gluings-object", "sections-object",
@@ -198,7 +205,8 @@ DIRAC_AT_POLE = {"charts": [{"id": "a", "h": "1/(x-1/7)^2"},
         "glue-coordinate-not-rational", "nonsmooth-entry-not-rational",
         "metric-entry-not-rational", "dirac-point-not-rational", "dim-true",
         "scale-exponent", "glue-coordinate-exponent", "dirac-point-exponent",
-        "dirac-error-in-section-order"])
+        "dirac-error-in-section-order", "self-glued-chart-check",
+        "self-glued-chart-report", "self-glued-chart-dirac"])
 def test_malformed_values_exit_two(tmp_path, capsys, command, data, pointer):
     assert main([command, write_cfg(tmp_path, data)]) == 2
     assert pointer in capsys.readouterr().err

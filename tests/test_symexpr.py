@@ -11,7 +11,7 @@ from diffwedge import symexpr
 from diffwedge.connection import _chartwise
 from diffwedge.symexpr import (Add, Const, Cos, Div, Exp, ExprSyntaxError,
                                Mul, Neg, Pow, Sin, ZERO, ONE, Verdict, X,
-                               differentiate, evaluate, max_residual,
+                               differentiate, evaluate, evaluate_all,
                                max_residuals, parse_expr, simplify, to_str)
 
 
@@ -130,12 +130,15 @@ def test_operator_overloading():
 def test_max_residual_keeps_the_first_worst_point():
     pts = [Fraction(-2), Fraction(1), Fraction(2)]
     # residuals 4, 1, 4: the later tie does not move the witness
-    assert max_residual([(X * X, ZERO)], pts) == (4.0, Fraction(-2))
+    assert max_residuals([(None, [(X * X, ZERO)])], {None: pts})[0] \
+        == (4.0, Fraction(-2))
     # nor does an equal residual in a later pair
     pairs = [(X * X, ZERO), (Const(4), ZERO), (X, Const(-2))]
-    assert max_residual(pairs, pts) == (4.0, Fraction(-2))
+    assert max_residuals([(None, pairs)], {None: pts})[0] \
+        == (4.0, Fraction(-2))
     # residuals 4, 2, 12: a strictly larger later one does move it
-    worst, at = max_residual([(ZERO, X * X * X + X * X)], pts)
+    worst, at = max_residuals([(None, [(ZERO, X * X * X + X * X)])],
+                              {None: pts})[0]
     assert (worst, at) == (12.0, Fraction(2)) and isinstance(worst, float)
     # Verdict.within folds (residual, witness) samples by the same rule
     ties = [(4.0, "x = -2"), (1.0, "x = 1"), (4.0, "x = 2")]
@@ -155,20 +158,22 @@ def test_max_residual_keeps_the_first_worst_point():
 def test_max_residual_is_zero_and_none_on_an_identity():
     e = parse_expr("(x+1)^2")
     same = parse_expr("x^2+2*x+1")
-    assert max_residual([(e, same)], [Fraction(i, 3) for i in range(-5, 6)]) \
+    pts = [Fraction(i, 3) for i in range(-5, 6)]
+    assert max_residuals([(None, [(e, same)])], {None: pts})[0] == (0.0, None)
+    assert max_residuals([(None, [(e, ZERO)])], {None: []})[0] == (0.0, None)
+    assert max_residuals([(None, [])], {None: [Fraction(1)]})[0] \
         == (0.0, None)
-    assert max_residual([(e, ZERO)], []) == (0.0, None)
-    assert max_residual([], [Fraction(1)]) == (0.0, None)
 
 
 def test_max_residual_mixes_exact_and_float_sides():
     third = Fraction(1, 3)
     pairs = [(parse_expr("x/3"), ZERO),          # exact: 1/9 at x = 1/3
              (parse_expr("exp(x)"), ONE)]        # float: e^(1/3) - 1
-    worst, at = max_residual(pairs, [Fraction(0), third])
+    pts = {None: [Fraction(0), third]}
+    worst, at = max_residuals([(None, pairs)], pts)[0]
     assert worst == math.exp(third) - 1 and at == third
     assert isinstance(worst, float)
-    worst, at = max_residual(pairs[:1], [Fraction(0), third])
+    worst, at = max_residuals([(None, pairs[:1])], pts)[0]
     assert worst == float(Fraction(1, 9)) and at == third
 
 
@@ -181,6 +186,18 @@ def _copy(e):
         return e
     kids = [_copy(c) for c in e.children]
     return Pow(kids[0], e.exponent) if isinstance(e, Pow) else type(e)(*kids)
+
+
+def _caches(es):
+    """The identities of every cache of every node under ``es``."""
+    seen, out, todo = set(), [], list(es)
+    while todo:
+        n = todo.pop()
+        if id(n) not in seen:
+            seen.add(id(n))
+            out.append((id(n), id(n._simple), id(n._deriv)))
+            todo.extend(n.children)
+    return out
 
 
 def _unary(e, kind):
@@ -258,14 +275,28 @@ def _outcome(f, e, x):
     return type(v), v.hex() if isinstance(v, float) else v
 
 
+def _tape_at(e, x):
+    """``e`` at ``x`` from a tape compiled for ``e`` alone."""
+    return evaluate_all([e], [x])[0][0]
+
+
 def _matches_the_fraction_walk(e, xs):
-    """On a fresh copy of ``e``, the first evaluate (at xs[0], the walk) and
-    every later one (the tape) give what the Fraction walk gives."""
+    """On a fresh copy of ``e``, evaluate (the walk) and a tape at each
+    point give what the Fraction walk gives, and so does one tape run at
+    every point in turn, xs[0] twice: its values, or the error of the
+    first point that raises."""
     e = _copy(e)
-    for x in xs[:1] + xs:
-        assert _outcome(evaluate, e, x) == _outcome(_walk_naming_the_point,
-                                                    e, x), (e, x)
-    assert isinstance(e._tape, tuple) or not e.children
+    want = [_outcome(_walk_naming_the_point, e, x) for x in xs[:1] + xs]
+    for x, w in zip(xs, want[1:]):
+        assert _outcome(evaluate, e, x) == w, (e, x)
+        assert _outcome(_tape_at, e, x) == w, (e, x)
+    try:
+        rows = evaluate_all([e], xs[:1] + xs)
+    except (ArithmeticError, ValueError) as exc:
+        assert (type(exc), str(exc)) == next(
+            w for w in want if issubclass(w[0], BaseException))
+    else:
+        assert [_outcome(lambda v, _: v, v, None) for (v,) in rows] == want
 
 
 @given(rich, st.lists(points, min_size=1, max_size=4))
@@ -278,6 +309,7 @@ def test_evaluate_all_matches_evaluate(es, xs):
     # evaluate on fresh copies is the reference: the rows hold its values,
     # and an error is one it raises at the first point where any raises
     want = [[_outcome(evaluate, _copy(e), x) for e in es] for x in xs]
+    caches = _caches(es)
     raised = [[o for o in row if issubclass(o[0], ArithmeticError)]
               for row in want]
     try:
@@ -289,7 +321,7 @@ def test_evaluate_all_matches_evaluate(es, xs):
         assert not any(raised)
         assert [[_outcome(lambda v, _: v, v, None) for v in row]
                 for row in rows] == want
-    assert all(e._tape is None for e in es)
+    assert _caches(es) == caches        # the tape is stored on no node
 
 
 _SUM60 = Const(0)
@@ -330,18 +362,15 @@ def test_pair_arithmetic_matches_the_fraction_walk(e):
 def test_compiled_zero_divisor_raises_the_walk_message():
     # at 0 both 1/x and x^-2 fail, and the walk reaches 1/x first
     e = Div(ONE, X) + Pow(X, -2) * Div(X, X - 1)
-    for x, message in [(Fraction(0), "division by zero at x=0"),
-                       (1, "division by zero at x=1")]:
-        e = _copy(e)
-        evaluate(e, Fraction(1, 2))           # walks; the tape runs from here
-        for _ in range(2):
+    f = Pow(X - 1, -3) + Div(ONE, X - 1)
+    for g, x, message in [(e, Fraction(0), "division by zero at x=0"),
+                          (e, 1, "division by zero at x=1"),
+                          (f, 1, "zero raised to -3 at x=1")]:
+        # the walk, then a tape that first runs at a point where g is defined
+        for run in (lambda: evaluate(g, x),
+                    lambda: evaluate_all([g], [Fraction(1, 2), x, x])):
             with pytest.raises(ZeroDivisionError, match=f"^{message}$"):
-                evaluate(e, x)
-    e = Pow(X - 1, -3) + Div(ONE, X - 1)
-    evaluate(e, 0)
-    for _ in range(2):
-        with pytest.raises(ZeroDivisionError, match="^zero raised to -3 at x=1$"):
-            evaluate(e, 1)
+                run()
 
 
 @given(rich)
@@ -407,10 +436,13 @@ def test_caches_make_no_reference_cycles():
     try:
         e = parse_expr("(x^2+1)/(x-3)*exp(sin(x)) - cos(2*x)^-2 + 0*x")
         trees = [e, simplify(e), differentiate(e), differentiate(differentiate(e))]
+        xs = [Fraction(1, 2), Fraction(1, 2), 0.25]
         for t in trees:
-            for x in (Fraction(1, 2), Fraction(1, 2), 0.25):
+            for x in xs:
                 evaluate(t, x)
-        assert all(isinstance(t._tape, tuple) for t in trees)
+        # the tapes of evaluate_all and max_residuals, with every cache set
+        evaluate_all(trees, xs)
+        max_residuals([(None, list(zip(trees, trees[1:])))], {None: xs})
         del e, t, trees
         assert gc.collect() == 0
     finally:
@@ -427,9 +459,10 @@ def test_first_evaluation_walks_a_shared_node_once():
     e = X
     for _ in range(64):
         e = e + e
-    for x in (Fraction(1, 3), Fraction(1, 3), 0.5):    # the walk, then the tape
+    xs = [Fraction(1, 3), Fraction(1, 3), 0.5]
+    for x in xs:                                    # the walk, at each point
         assert evaluate(e, x) == 2 ** 64 * x
-    assert isinstance(e._tape, tuple)
+    assert evaluate_all([e], xs) == [[2 ** 64 * x] for x in xs]   # the tape
 
 
 # ---------------------------------------------------------------------------
@@ -537,8 +570,8 @@ def test_joint_sampler_matches_the_scalar_loop(case):
     assert _chartwise(groups, pts, tol) == Verdict.within(
         tol, ((r, f"chart {key}, x = {x}")
               for (key, _), (r, x) in zip(groups, want)))
-    for (key, pairs), w in zip(groups, want):
-        assert _bits(max_residual(pairs, pts.get(key, []))) == _bits(w)
+    for (key, pairs), w in zip(groups, want):     # each group on its own
+        assert _bits(max_residuals([(key, pairs)], pts)[0]) == _bits(w)
 
 
 def test_joint_sampler_keeps_group_order_and_exact_residuals():
@@ -551,7 +584,8 @@ def test_joint_sampler_keeps_group_order_and_exact_residuals():
     # the exact difference, not float(1) - float(1/3)
     third = Const(Fraction(1, 3))
     assert float(1) - float(Fraction(1, 3)) != float(Fraction(2, 3))
-    assert max_residual([(ONE, third)], [0]) == (float(Fraction(2, 3)), 0)
+    assert max_residuals([(None, [(ONE, third)])], {None: [0]})[0] \
+        == (float(Fraction(2, 3)), 0)
     # registers start afresh at each point
     assert max_residuals([("a", [(X * X + 1, ZERO)])], {"a": [1, 3, 2]}) \
         == [(10.0, 3)]
