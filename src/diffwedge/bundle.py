@@ -235,19 +235,6 @@ def split_section(s):
     return s1, s2
 
 
-def section_add(s, t):
-    comps = {c: [simplify(a + b) for a, b in zip(s.components[c], t.components[c])]
-             for c in s.components}
-    return Section(s.bundle, comps)
-
-
-def section_fn_mul(h, s):
-    """Multiply by a glued function: per-chart expression map ``h``."""
-    comps = {c: [simplify(as_expr(h[c]) * e) for e in v]
-             for c, v in s.components.items()}
-    return Section(s.bundle, comps)
-
-
 # ---------------------------------------------------------------------------
 # fibrewise operations
 
@@ -338,17 +325,14 @@ def phi_sum(glued_of_sums, sum_of_glued, point):
     """Fibrewise map with Phi o (j1 + j1') = j1 of the sum, and same for j2.
 
     Under the shared labelling conventions both sides present a fibre
-    vector in identical block coordinates, so the map is the identity of
-    the correct size; the defining identities are what tests verify.
+    vector in identical block coordinates, so this map, and the tensor
+    product's too, is the identity of the correct size; the defining
+    identities are what tests verify.
     """
     p = _as_point(point)
     i = glued_of_sums.base.class_of(p)
     cid = glued_of_sums.rep_point(i)[0] if i is not None else p[0]
     return identity(glued_of_sums.fibres[cid].dim)
-
-
-# the same block-coordinate argument makes the tensor map the identity too
-phi_tensor = phi_sum
 
 
 def phi_dual(glued, point):

@@ -18,7 +18,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import symexpr
-from .symexpr import Const, Expr, ExprSyntaxError, Verdict
+from .symexpr import Const, Div, Expr, ExprSyntaxError, Mul, Pow, Verdict
 from .bundle import as_expr
 from .clifford import build_algebra, cl_mul, multiplication_table
 from .connection import check_leibniz, check_metric_compatibility, \
@@ -75,17 +75,36 @@ def _tol(v):
     raise ConfigError(f"/tol: must be a finite number >= 0, not {v!r}")
 
 
+_MAX_DEGREE = 4096
+
+
+def _degree(e):
+    """Degree bound of ``e`` as a polynomial; exp, sin and cos keep their
+    argument's, and a power of a constant counts as a power of x, so that
+    its exact value stays as small as the bound allows."""
+    if not e.children:
+        return 0 if isinstance(e, Const) else 1
+    if isinstance(e, Pow):
+        return abs(e.exponent) * max(1, _degree(e.children[0]))
+    kids = [_degree(c) for c in e.children]
+    return sum(kids) if isinstance(e, (Mul, Div)) else max(kids)
+
+
 def _expr(v, where):
-    """``v``, an expression string or a finite number, as an expression."""
+    """``v``, an expression string or a finite number, as an expression
+    whose degree bound is at most ``_MAX_DEGREE``."""
     if isinstance(v, bool) or not isinstance(v, (str, int, float)):
         raise ConfigError(f"{where}: must be an expression string or a "
                           f"number, not {v!r}")
     try:
-        return as_expr(v)
+        e = as_expr(v)
     except ExprSyntaxError as exc:
         raise ConfigError(f"bad expression at {where}: {exc}")
     except (ValueError, OverflowError):     # a float nan or inf
         raise ConfigError(f"{where}: not a finite number: {v!r}")
+    if (d := _degree(e)) > _MAX_DEGREE:
+        raise ConfigError(f"{where}: degree bound {d} above {_MAX_DEGREE}")
+    return e
 
 
 def _array(obj, key, where):
@@ -353,7 +372,8 @@ def _build_module(cfg):
     config error before the gate is tried.  The gate is the bundle
     gluing's own check, so a module is built exactly when it passes."""
     if len(cfg["gluings"]) != 1:
-        raise ConfigError("exactly one gluing is supported for the glued suites")
+        raise ConfigError("/gluings: exactly one gluing is supported for the "
+                          "glued suites")
     g = cfg["gluings"][0]
     glued = {g["from"][0], g["to"][0]}
     if len(glued) == 1:

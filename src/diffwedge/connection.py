@@ -90,11 +90,6 @@ def covariant_derivative(conn, t, comps):
             for cid, v in nabla.items()}
 
 
-def lie_bracket(t1, t2):
-    return {cid: simplify(_bracket(as_expr(t1[cid]), as_expr(t2[cid])))
-            for cid in t1}
-
-
 def levi_civita(lam):
     """The symmetric metric connection on a one-form bundle: h'/(2h)."""
     gamma = {cid: [[simplify(_d(h) / (as_expr(2) * h))]]

@@ -112,12 +112,6 @@ def induced_action(module, class_index, lam_value, e):
     return mat_vec(module.action_matrix(rep[0], rep[1], alpha), e)
 
 
-def clifford_algebra_map(module, glue_point):
-    """Multiplicative extension of the one-form glue map on (1, e) blades."""
-    a = module.scales[_as_point(glue_point)]
-    return [[Fraction(1), Fraction(0)], [Fraction(0), a]]
-
-
 def check_algebra_morphism(module, glue_point):
     """Does the extended map preserve Clifford products of the glue fibres?
 

@@ -21,7 +21,6 @@ from functools import cached_property
 from .linalg import (
     frac_matrix,
     identity,
-    in_span,
     inverse,
     is_psd,
     is_symmetric,
@@ -135,15 +134,6 @@ def is_pseudo_metric(model, a):
     return Verdict(True)
 
 
-def make_pseudo_metric(model):
-    """A canonical pseudo-metric: P^T P for P projecting out K."""
-    dual = dual_space(model)
-    if not dual:
-        raise ValueError("no pseudo-metric exists when K is everything")
-    p = [list(row) for row in dual]
-    return mat_mul(transpose(p), p)
-
-
 def characteristic_subspace(model, a):
     """Basis of the span of the non-degenerate directions of ``a``."""
     a = frac_matrix(a)
@@ -212,34 +202,6 @@ def check_map_compatibility(model1, g1, model2, g2, f):
     i, j = bad[0]
     return Verdict(False, witness=f"g1[e{i + 1},e{j + 1}]={g1[i][j]} but "
                                   f"g2[Fe{i + 1},Fe{j + 1}]={pulled[i][j]}")
-
-
-def map_conditions(model1, g1, model2, g2, f):
-    """The structural conditions on F: (its kernel misses the
-    characteristic subspace V0 of g1, it maps V0 into W0 of g2)."""
-    f = frac_matrix(f)
-    v0 = characteristic_subspace(model1, g1)
-    w0 = characteristic_subspace(model2, g2)
-    ker = nullspace(f)
-    kernel_ok = not any(in_span(v0, k) and any(x != 0 for x in k) for k in _span_meet(ker, v0))
-    image_ok = all(in_span(w0, mat_vec(f, v)) for v in v0)
-    return kernel_ok, image_ok
-
-
-def _span_meet(basis_a, basis_b):
-    """Basis of the intersection of two spans."""
-    if not basis_a or not basis_b:
-        return []
-    n = len(basis_a[0])
-    # v in meet iff v = sum x_i a_i = sum y_j b_j
-    cols = [list(v) for v in basis_a] + [[-x for x in v] for v in basis_b]
-    sols = nullspace(transpose(cols))
-    meet = []
-    for s in sols:
-        v = [sum(s[i] * basis_a[i][t] for i in range(len(basis_a))) for t in range(n)]
-        if any(x != 0 for x in v):
-            meet.append(v)
-    return row_space_basis(meet)
 
 
 def dual_map(model1, model2, f):

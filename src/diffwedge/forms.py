@@ -61,39 +61,6 @@ def lambda1(base, h):
     return OneFormBundle(base, hs, gluing)
 
 
-def one_form_value(bundle, coeffs, p):
-    """Glue-fibre value of a one-form section: branch -> coefficient.
-
-    ``coeffs`` maps chart ids to expressions (the dx coefficients).
-    """
-    return {br: symexpr.evaluate(as_expr(coeffs[br[0]]), br[1])
-            for br in bundle.fibre_branches(p)}
-
-
-def _project(bundle, p, value, leg):
-    if bundle.gluing is None:
-        raise ValueError("bundle base was not built by gluing")
-    branches = [br for br in bundle.fibre_branches(p)
-                if bundle.gluing.leg_of_chart(br[0]) == leg]
-    if not branches:
-        raise ValueError(f"{p} is outside the {('first', 'second')[leg - 1]} leg")
-    return {br: value[br] for br in branches}
-
-
-def rho1(bundle, p, value):
-    """Projection of a fibre value to the first leg's branches.
-
-    Defined on images of the first leg (including glue classes); the
-    identity on regular first-leg points.  ``rho2`` is the same for the
-    second leg.
-    """
-    return _project(bundle, p, value, 1)
-
-
-def rho2(bundle, p, value):
-    return _project(bundle, p, value, 2)
-
-
 def differential(base, funcs):
     """Chartwise derivative of a glued function.
 

@@ -180,14 +180,6 @@ def span_equal(basis_a, basis_b):
     return ra == rb == rank(basis_a + basis_b)
 
 
-def in_span(vectors, v):
-    if all(x == 0 for x in v):
-        return True
-    if not vectors:
-        return False
-    return rank(vectors) == rank(vectors + [list(v)])
-
-
 def is_symmetric(a):
     n = len(a)
     return all(a[i][j] == a[j][i] for i in range(n) for j in range(n))

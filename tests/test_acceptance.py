@@ -5,8 +5,6 @@ failure pinpoints the broken guarantee without hiding the others.
 """
 
 import functools
-import json
-import math
 import os
 import random
 from fractions import Fraction
@@ -15,12 +13,12 @@ from itertools import product
 import pytest
 
 from diffwedge.bundle import (direct_sum, dual_bundle, eval_matrix,
-                              glue_bundles, phi_dual, phi_sum, phi_tensor,
+                              glue_bundles, phi_dual, phi_sum,
                               tensor_product, trivial_bundle)
 from diffwedge.clifford import (build_algebra, cl_mul, contract,
-                                exterior_algebra, quantize, scalar, symbol,
+                                exterior_algebra, quantize, symbol,
                                 wedge as cl_wedge)
-from diffwedge.cli import load_config, main as cli_main, render_report, run
+from diffwedge.cli import load_config, main as cli_main, run
 from diffwedge.connection import (Connection, check_leibniz,
                                   check_metric_compatibility,
                                   dual_connection, glue_connections,
@@ -269,7 +267,7 @@ def test_criterion_07_structure_maps():
                 [j1p[i][t - n] if t >= n else Fraction(0) for i in range(m)]
         assert mat_vec(phi, block) == mat_vec(vsum.glue_map(0, p), v)
     # tensor: Phi after the Kronecker map equals the tensor inclusion
-    phit = phi_tensor(vtens, None, p)
+    phit = phi_sum(vtens, None, p)
     kron = [[j1[0][0] * j1p[0][0]]]
     assert mat_mul(phit, kron) == vtens.glue_map(0, p)
     # dual: identity off the glue, transpose over it, and an isometry

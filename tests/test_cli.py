@@ -191,6 +191,35 @@ DIRAC_AT_POLE = {"charts": [{"id": "a", "h": "1/(x-1/7)^2"},
                            "points": [["a", 1]]}},
        "/gluings/0: glues chart 'a' to itself")
       for command in ("check", "report", "dirac")],
+    # the glued suites take exactly one gluing of two charts
+    ("check", {"charts": [{"id": "a"}, {"id": "b"}, {"id": "c"}],
+               "gluings": [{"points": [["a", 0], ["b", 0]]},
+                           {"points": [["b", 1], ["c", 0]]}]},
+     "/gluings: exactly one gluing is supported"),
+    ("dirac", {"charts": [{"id": "a"}],
+               "dirac": {"sections": [{"a": ["x", "1"]}],
+                         "points": [["a", 1]]}},
+     "/gluings: exactly one gluing is supported"),
+    ("check", {"charts": [{"h": "1"}]}, "/charts/0: missing id"),
+    ("check", {"fibre": {"dim": 2, "nonsmooth": [[1, 0, 0]]}},
+     "/fibre/nonsmooth: wrong vector length"),
+    ("check", {"fibre": {"dim": 2, "metric": [[1, 0]]}},
+     "/fibre/metric: wrong shape"),
+    # exact powers of (x^2+1)^100000 would take minutes per sample point
+    *[(command, {"charts": [{"id": "a", "h": "(x^2+1)^100000"}, {"id": "b"}],
+                 "gluings": [{"points": [["a", 0], ["b", 0]]}],
+                 "dirac": {"sections": [{"a": ["x", "1"], "b": ["x", "1"]}],
+                           "points": [["a", 1]]}},
+       "/charts/0/h: degree bound 200000 above 4096")
+      for command in ("check", "report", "dirac")],
+    # and so would the exact powers of a constant in (3/2)^100000000
+    *[(command, {"charts": [{"id": "a", "h": "1+(3/2)^100000000"},
+                            {"id": "b"}],
+                 "gluings": [{"points": [["a", 0], ["b", 0]]}],
+                 "dirac": {"sections": [{"a": ["x", "1"], "b": ["x", "1"]}],
+                           "points": [["a", 1]]}},
+       "/charts/0/h: degree bound 100000000 above 4096")
+      for command in ("check", "report", "dirac")],
 ], ids=["tol", "glue-point", "nested-parentheses", "long-sum",
         "one-component-section", "point-section-lacks", "point-unknown-chart",
         "charts-object", "gluings-object", "sections-object",
@@ -206,7 +235,11 @@ DIRAC_AT_POLE = {"charts": [{"id": "a", "h": "1/(x-1/7)^2"},
         "metric-entry-not-rational", "dirac-point-not-rational", "dim-true",
         "scale-exponent", "glue-coordinate-exponent", "dirac-point-exponent",
         "dirac-error-in-section-order", "self-glued-chart-check",
-        "self-glued-chart-report", "self-glued-chart-dirac"])
+        "self-glued-chart-report", "self-glued-chart-dirac", "two-gluings",
+        "dirac-without-gluing", "chart-without-id",
+        "nonsmooth-vector-length", "metric-shape", "h-degree-check",
+        "h-degree-report", "h-degree-dirac", "h-constant-power-check",
+        "h-constant-power-report", "h-constant-power-dirac"])
 def test_malformed_values_exit_two(tmp_path, capsys, command, data, pointer):
     assert main([command, write_cfg(tmp_path, data)]) == 2
     assert pointer in capsys.readouterr().err
@@ -320,6 +353,40 @@ def test_huge_exponents_are_rejected_at_once(tmp_path, where, value):
     with pytest.raises(ConfigError, match="more than 4300 digits"):
         load_config(path)
     assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("where, expr, degree", [
+    ("h", "(x^2+1)^100000", 200000),
+    ("h", "((x^2+1)^100)^100", 20000),
+    ("h", "(3/2)^100000000", 100000000),
+    ("section", "x^5000", 5000),
+])
+def test_high_degree_expressions_are_rejected_at_once(tmp_path, where, expr,
+                                                      degree):
+    # the exact value of (x^2+1)^100000 at x = 1/5 has about 470,000 bits
+    # in numerator and denominator, computed at every sample point
+    data = {**GLUED, "dirac": {"sections": [{"a": ["x", "1"], "b": ["x", "1"]}],
+                               "points": [["a", "1/2"]]}}
+    if where == "h":
+        data["charts"] = [{"id": "a", "h": expr}, {"id": "b", "h": expr}]
+        pointer = "/charts/0/h"
+    else:
+        data["dirac"]["sections"][0]["b"] = ["1", expr]
+        pointer = "/dirac/sections/0/b"
+    path = write_cfg(tmp_path, data)
+    start = time.perf_counter()
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert time.perf_counter() - start < 1
+    assert str(err.value) == f"{pointer}: degree bound {degree} above 4096"
+
+
+def test_degree_bound_rules():
+    cases = {"7": 0, "2^3": 3, "(1/2)^-5 * x": 6, "x": 1, "-x^3": 3, "x^2 + x^5": 5, "x^2 * x^3": 5,
+             "x^2 / (x^3 + 1)": 5, "x^-4": 4, "(x^2 + 1)^3": 6,
+             "exp(x^3) * sin(x) + cos(x^2)": 4, "x^4096": 4096}
+    for text, degree in cases.items():
+        assert cli._degree(symexpr.parse_expr(text)) == degree, text
 
 
 def test_exponents_within_the_digit_limit_load(tmp_path):

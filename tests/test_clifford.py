@@ -10,7 +10,7 @@ from diffwedge.clifford import (CliffordAlgebra, build_algebra, cl_action, cl_mu
                                 quantize, scalar, symbol, to_frame_coords,
                                 vector_mv, wedge)
 from diffwedge.dvspace import standard_model
-from diffwedge.linalg import frac_matrix, identity
+from diffwedge.linalg import frac_matrix
 
 
 def diag_algebra(diag):

@@ -3,10 +3,9 @@ from fractions import Fraction
 import pytest
 
 from diffwedge import symexpr
-from diffwedge.forms import (OneFormBundle, differential, dual_metric_sum,
+from diffwedge.forms import (differential, dual_metric_sum,
                              dual_metric_identity_check, g_lambda,
-                             g_lambda_dual, lambda1, one_form_value, rho1,
-                             rho2)
+                             g_lambda_dual, lambda1)
 from diffwedge.wedge import glue_complexes, line
 
 
@@ -39,26 +38,11 @@ def test_positivity_gate():
         lambda1(line("a"), {"a": "x"})
 
 
-def test_rho_projections():
-    lam = wedge2()
-    omega = one_form_value(lam, {"a": "3", "b": "5"}, ("a", 0))
-    r1 = rho1(lam, ("a", 0), omega)
-    r2 = rho2(lam, ("a", 0), omega)
-    assert list(r1.values()) == [3]
-    assert list(r2.values()) == [5]
-    # regular points: identity on the single component
-    reg = one_form_value(lam, {"a": "3", "b": "5"}, ("a", 2))
-    assert rho1(lam, ("a", 2), reg) == reg
-    with pytest.raises(ValueError):
-        rho2(lam, ("a", 2), reg)
-
-
 def test_differential_assembly():
     lam = wedge2()
     d = differential(lam.base, {"a": "x^2", "b": "sin(x)"})
-    val = one_form_value(lam, d, ("a", 0))
-    assert val[("a", Fraction(0))] == 0
-    assert val[("b", Fraction(0))] == 1.0
+    assert symexpr.evaluate(d["a"], Fraction(0)) == 0
+    assert symexpr.evaluate(d["b"], Fraction(0)) == 1.0
 
 
 def test_differential_constant_and_single_chart():
@@ -134,15 +118,3 @@ def test_dual_metric_coincidence_exact():
     v = dual_metric_identity_check(lam3)
     assert v.ok, v.witness
     assert dual_metric_sum(lam3, ("a", 0)) == g_lambda_dual(lam3, ("a", 0))
-
-
-def test_rho_sum_is_isomorphism_on_wedge_fibre():
-    lam = wedge2()
-    # two basis one-forms whose rho images span both factors
-    omega1 = one_form_value(lam, {"a": "1", "b": "0"}, ("a", 0))
-    omega2 = one_form_value(lam, {"a": "0", "b": "1"}, ("a", 0))
-    v1 = (list(rho1(lam, ("a", 0), omega1).values())
-          + list(rho2(lam, ("a", 0), omega1).values()))
-    v2 = (list(rho1(lam, ("a", 0), omega2).values())
-          + list(rho2(lam, ("a", 0), omega2).values()))
-    assert v1 == [1, 0] and v2 == [0, 1]

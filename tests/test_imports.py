@@ -1,4 +1,6 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a module imports is used in that module, and every public
+name of the package is reached from the package, the demos or the
+benchmark, or is listed below with the reason it stays."""
 
 import ast
 import importlib
@@ -8,8 +10,12 @@ import pathlib
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "diffwedge"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "diffwedge"
 MODULES = sorted(PACKAGE.glob("*.py"))
+LINTED = ([(p, p.name) for p in MODULES]
+          + [(p, f"{p.parent.name}/{p.name}")
+             for d in ("tests", "demos") for p in sorted((ROOT / d).glob("*.py"))])
 
 
 def unused_imports(source):
@@ -32,9 +38,72 @@ def test_checker_sees_an_unused_import():
     assert unused_imports(src) == [(1, "Fraction")]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+@pytest.mark.parametrize("path", [p for p, _ in LINTED],
+                         ids=[i for _, i in LINTED])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+# Public names with no caller yet, each with the reason it stays: a ROADMAP
+# item that will call it, a test that uses it as an oracle, or the
+# benchmark's tracer test, which asserts that `forms` binds `simplify`
+# (`differential` is that module's only call of it).
+UNREACHED = {
+    "bundle.glue_sections": "item 9",
+    "bundle.split_section": "item 9",
+    "bundle.phi_sum": "item 9",
+    "bundle.phi_dual": "item 9",
+    "connection.sum_connection": "item 9",
+    "connection.tensor_connection": "item 9",
+    "dvspace.check_dual_compatibility": "item 9",
+    "clifford.exterior_algebra": "item 8",
+    "clifford.vector_mv": "item 8",
+    "clifford.quantize": "item 8",
+    "clifford.symbol": "item 8",
+    "clifford.parity": "item 8",
+    "clifford.filtration_degree": "item 8",
+    "dvspace.characteristic_subspace": "oracle",
+    "forms.differential": "perfbench binding",
+}
+
+
+def public_definitions(tree):
+    """(name, node) for each public top-level def, class or assignment."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        yield from ((name, node) for name in targets if not name.startswith("_"))
+
+
+def unreached_names():
+    """Public names of the package that no Name or Attribute node in the
+    package, the demos or the benchmark refers to, outside the name's own
+    definition."""
+    trees = {p: ast.parse(p.read_text()) for d in (PACKAGE, ROOT / "demos",
+                                                   ROOT / "perfbench")
+             for p in sorted(d.glob("*.py"))}
+    refs = {}
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name):
+                refs.setdefault(n.id, []).append(n)
+            elif isinstance(n, ast.Attribute):
+                refs.setdefault(n.attr, []).append(n)
+    out = set()
+    for path in MODULES:
+        for name, node in public_definitions(trees[path]):
+            own = {id(n) for n in ast.walk(node)}
+            if all(id(n) in own for n in refs.get(name, [])):
+                out.add(f"{path.stem}.{name}")
+    return out
+
+
+def test_every_public_name_is_reached_or_listed():
+    assert unreached_names() == set(UNREACHED)
 
 
 def test_traced_functions_are_plain_module_functions():
