@@ -60,7 +60,9 @@ def emat_kron(a, b):
 def _det(m, rows, cols, memo):
     """Determinant of the submatrix of ``m`` on the index tuples ``rows``
     and ``cols``, expanded along its first row.  ``memo`` maps (rows, cols)
-    to the expansion, so a submatrix reached again is not expanded again."""
+    to the expansion, so a submatrix reached again is not expanded again.
+    The entries of ``m`` are simplified; a zero one contributes no term,
+    so its minor is not expanded."""
     if not rows:
         return ONE
     if len(rows) == 1:
@@ -69,20 +71,33 @@ def _det(m, rows, cols, memo):
     if key not in memo:
         out = ZERO
         for j, c in enumerate(cols):
-            term = m[rows[0]][c] * _det(m, rows[1:], cols[:j] + cols[j + 1:],
-                                        memo)
+            a = m[rows[0]][c]
+            if type(a) is Const and a.value == 0:
+                continue
+            term = a * _det(m, rows[1:], cols[:j] + cols[j + 1:], memo)
             out = out + term if j % 2 == 0 else out - term
         memo[key] = simplify(out)
     return memo[key]
 
 
 def emat_inverse(m):
-    """Inverse by adjugate over expression entries.  The determinant and
-    all n² cofactors share one memo, so each minor is expanded once."""
+    """Inverse by adjugate over expression entries.
+
+    The n² entries are simplified once, and the determinant and all n²
+    cofactors share one memo, so each minor is expanded once; the minor
+    of an entry that simplifies to 0 is never expanded, since its term
+    would simplify away.  Raises ValueError when the determinant
+    simplifies to the constant 0.  A singular matrix whose determinant
+    does not fold to 0, such as one reading ``x*x - x*x``, is not
+    detected: its entries divide by a determinant that evaluates to 0.
+    """
     n = len(m)
+    m = [[simplify(e) for e in row] for row in m]
     idx = tuple(range(n))
     memo = {}
     det = _det(m, idx, idx, memo)
+    if type(det) is Const and det.value == 0:
+        raise ValueError("singular metric: its determinant is 0")
     adj = [[_det(m, idx[:j] + idx[j + 1:], idx[:i] + idx[i + 1:], memo)
             * Const(Fraction((-1) ** (i + j)))
             for j in range(n)] for i in range(n)]

@@ -98,7 +98,7 @@ class Const(Expr):
 
     def __init__(self, value):
         Expr.__init__(self)
-        self.value = Fraction(value)
+        self.value = value if type(value) is Fraction else Fraction(value)
 
     def __repr__(self):
         return f"Const({self.value})"
@@ -665,13 +665,17 @@ def simplify(e):
 
     The result is cached on ``e`` and marked as simplified, so simplifying
     it again returns it at once and a tree built over simplified parts
-    costs only its new nodes.  A node that is already in simplified form
-    is returned itself.
+    costs only its new nodes.  A leaf, and a node whose rule does not
+    fire over children that simplify to themselves, is returned itself.
     """
     done = e._simple
     if done is not None:
         return e if done is True else done
-    out = _rewrite(e, [simplify(c) for c in e.children])
+    kids = e.children
+    if not kids:
+        e._simple = True
+        return e
+    out = _RULES[type(e)](e, *map(simplify, kids))
     if out is e:
         e._simple = True
     else:
@@ -680,63 +684,73 @@ def simplify(e):
     return out
 
 
-def _rewrite(e, kids):
-    """One simplification step of ``e`` over its simplified children."""
-    if isinstance(e, Neg):
-        (a,) = kids
-        if isinstance(a, Const):
-            return Const(-a.value)
-        if isinstance(a, Neg):
-            return a.children[0]
-        return _rebuild(e, kids)
-    if isinstance(e, Add):
-        a, b = kids
-        if isinstance(a, Const) and isinstance(b, Const):
+# One rule per node type.  A rule gets the node and its simplified
+# children, and returns the node itself when those are its own children.
+
+def _simplify_neg(e, a):
+    if type(a) is Const:
+        return Const(-a.value)
+    if type(a) is Neg:
+        return a.children[0]
+    return e if a is e.children[0] else Neg(a)
+
+
+def _simplify_add(e, a, b):
+    if type(a) is Const:
+        if type(b) is Const:
             return Const(a.value + b.value)
-        if isinstance(a, Const) and a.value == 0:
+        if a.value == 0:
             return b
-        if isinstance(b, Const) and b.value == 0:
-            return a
-        return _rebuild(e, kids)
-    if isinstance(e, Mul):
-        a, b = kids
-        if isinstance(a, Const) and isinstance(b, Const):
+    elif type(b) is Const and b.value == 0:
+        return a
+    return e if a is e.children[0] and b is e.children[1] else Add(a, b)
+
+
+def _simplify_mul(e, a, b):
+    if type(a) is Const:
+        if type(b) is Const:
             return Const(a.value * b.value)
-        if (isinstance(a, Const) and a.value == 0) or (isinstance(b, Const) and b.value == 0):
+        if a.value == 0:
             return ZERO
-        if isinstance(a, Const) and a.value == 1:
+        if a.value == 1:
             return b
-        if isinstance(b, Const) and b.value == 1:
-            return a
-        return _rebuild(e, kids)
-    if isinstance(e, Div):
-        a, b = kids
-        if isinstance(b, Const) and b.value == 1:
-            return a
-        if isinstance(a, Const) and isinstance(b, Const) and b.value != 0:
-            return Const(a.value / b.value)
-        if isinstance(a, Const) and a.value == 0 and not isinstance(b, Const):
+    elif type(b) is Const:
+        if b.value == 0:
             return ZERO
-        return _rebuild(e, kids)
-    if isinstance(e, Pow):
-        (a,) = kids
-        if e.exponent == 1:
+        if b.value == 1:
             return a
-        if e.exponent == 0:
-            return ONE
-        if isinstance(a, Const) and not (a.value == 0 and e.exponent < 0):
-            return Const(a.value ** e.exponent)
-        return _rebuild(e, kids)
-    return _rebuild(e, kids)
+    return e if a is e.children[0] and b is e.children[1] else Mul(a, b)
 
 
-def _rebuild(e, kids):
-    """``e`` over ``kids``: ``e`` itself when they are its own children."""
-    if all(k is c for k, c in zip(kids, e.children)):
-        return e
-    if isinstance(e, Pow):
-        return Pow(kids[0], e.exponent)
-    return type(e)(*kids)
+def _simplify_div(e, a, b):
+    if type(b) is Const:
+        if b.value == 1:
+            return a
+        if type(a) is Const and b.value != 0:
+            return Const(a.value / b.value)
+    elif type(a) is Const and a.value == 0:
+        return ZERO
+    return e if a is e.children[0] and b is e.children[1] else Div(a, b)
+
+
+def _simplify_pow(e, a):
+    k = e.exponent
+    if k == 1:
+        return a
+    if k == 0:
+        return ONE
+    if type(a) is Const and not (a.value == 0 and k < 0):
+        return Const(a.value ** k)
+    return e if a is e.children[0] else Pow(a, k)
+
+
+def _simplify_call(e, a):
+    return e if a is e.children[0] else type(e)(a)
+
+
+_RULES = {Neg: _simplify_neg, Add: _simplify_add, Mul: _simplify_mul,
+          Div: _simplify_div, Pow: _simplify_pow, Exp: _simplify_call,
+          Sin: _simplify_call, Cos: _simplify_call}
 
 
 def to_str(e, parent_prec=0):

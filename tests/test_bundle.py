@@ -150,8 +150,9 @@ def test_emat_inverse_round_trip():
 
 def _inverse_by_laplace(m):
     """The O(n!) emat_inverse that the memoized expansion replaced: every
-    determinant and cofactor expands its minors afresh.  Same term order
-    and signs, so it must give the same tree entry for entry."""
+    determinant and cofactor expands its minors afresh, zero entries
+    included.  Same term order and signs, so it must give the same tree
+    entry for entry; None when the determinant simplifies to 0."""
     def minor(m, i, j):
         return [[m[r][c] for c in range(len(m)) if c != j]
                 for r in range(len(m)) if r != i]
@@ -169,6 +170,8 @@ def _inverse_by_laplace(m):
 
     n = len(m)
     d = det(m)
+    if symexpr.simplify(d) == symexpr.ZERO:
+        return None
     adj = [[det(minor(m, j, i)) * symexpr.Const(Fraction((-1) ** (i + j)))
             for j in range(n)] for i in range(n)]
     return [[symexpr.simplify(adj[i][j] / d) for j in range(n)]
@@ -194,6 +197,13 @@ def _entry_matrices(draw):
             for _ in range(n)]
 
 
+def _block_tridiagonal(*sizes):
+    out = []
+    for n in sizes:
+        out = emat_block_sum(out, expr_matrix(_tridiagonal(n)))
+    return [[symexpr.to_str(e) for e in row] for row in out]
+
+
 @given(_entry_matrices())
 @example([["0"]])
 @example([["x^2+1", "x"], ["0", "2"]])
@@ -201,9 +211,17 @@ def _entry_matrices(draw):
 @example([["x", "0", "1/(x+2)", "0"], ["0", "cos(x)", "0", "1"],
           ["-2", "0", "x*exp(x)", "x"], ["1/3", "1/3", "1/3", "1/3"]])
 @example(_tridiagonal(5))
+@example(_block_tridiagonal(2, 3))
+@example([["0", "0", "0"], ["x", "1", "2"], ["1", "x", "x^2+1"]])
+@example([["0*exp(x)", "x", "1"], ["x", "2", "0"], ["1", "0*exp(x)", "x"]])
+@example([["x-x", "x", "1"], ["x", "2", "0"], ["1", "x-x", "x"]])
 def test_emat_inverse_matches_the_laplace_oracle(strings):
-    inv = emat_inverse(expr_matrix(strings))
     want = _inverse_by_laplace(expr_matrix(strings))
+    if want is None:
+        with pytest.raises(ValueError, match="singular"):
+            emat_inverse(expr_matrix(strings))
+        return
+    inv = emat_inverse(expr_matrix(strings))
     assert [[repr(e) for e in row] for row in inv] == \
         [[repr(e) for e in row] for row in want]
     if any(f in s for row in strings for s in row for f in ("exp", "cos")):
@@ -219,27 +237,41 @@ def test_emat_inverse_matches_the_laplace_oracle(strings):
 
 
 def test_emat_inverse_expands_each_minor_once(monkeypatch):
-    # one simplify per distinct submatrix of size >= 2 that first-row
-    # expansion reaches from the determinant and the n^2 cofactors, plus
-    # one per entry; re-expanding every cofactor took 3649 calls at n = 6
-    n = 6
-    m = expr_matrix(_tridiagonal(n))
+    # one simplify per entry, one per distinct submatrix of size >= 2 that
+    # first-row expansion reaches through nonzero entries from the
+    # determinant and the n^2 cofactors, and one per inverse entry;
+    # re-expanding every cofactor took 3649 calls on the 6x6 tridiagonal,
+    # and expanding the minors of zero entries too took 273
     calls = []
     simplify = bundle.simplify
     monkeypatch.setattr(bundle, "simplify",
                         lambda e: calls.append(e) or simplify(e))
-    emat_inverse(m)
-    idx = tuple(range(n))
-    todo = [(idx, idx)] + [(idx[:j] + idx[j + 1:], idx[:i] + idx[i + 1:])
-                           for i in range(n) for j in range(n)]
-    reached = set()
-    while todo:
-        rows, cols = todo.pop()
-        if len(rows) >= 2 and (rows, cols) not in reached:
-            reached.add((rows, cols))
-            todo += [(rows[1:], cols[:j] + cols[j + 1:])
-                     for j in range(len(cols))]
-    assert len(calls) == len(reached) + n * n == 273
+    for strings, total in [(_tridiagonal(6), 236),           # 36 + 164 + 36
+                           (_block_tridiagonal(3, 3), 215)]:  # 36 + 143 + 36
+        n = len(strings)
+        calls.clear()
+        emat_inverse(expr_matrix(strings))
+        idx = tuple(range(n))
+        todo = [(idx, idx)] + [(idx[:j] + idx[j + 1:], idx[:i] + idx[i + 1:])
+                               for i in range(n) for j in range(n)]
+        reached = set()
+        while todo:
+            rows, cols = todo.pop()
+            if len(rows) >= 2 and (rows, cols) not in reached:
+                reached.add((rows, cols))
+                todo += [(rows[1:], cols[:j] + cols[j + 1:])
+                         for j, c in enumerate(cols)
+                         if strings[rows[0]][c] != "0"]
+        assert len(calls) == len(reached) + 2 * n * n == total
+
+
+def test_a_singular_metric_has_no_dual():
+    base = line("a")
+    for metric in ([["1", "1"], ["1", "1"]], [["0"]]):
+        v = trivial_bundle(base, {"a": standard_model(len(metric))},
+                           {"a": metric})
+        with pytest.raises(ValueError, match="singular metric"):
+            dual_bundle(v)
 
 
 def test_dual_of_a_three_by_three_tensor_product():

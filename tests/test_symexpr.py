@@ -419,6 +419,95 @@ def test_differentiate_matches_the_rules(e):
     assert repr(differentiate(_copy(e))) == repr(_rule_derivative(_copy(e)))
 
 
+def _rewrite(e, kids):
+    """The isinstance chain that the table of simplify rules replaced: one
+    simplification step of ``e`` over its simplified children."""
+    if isinstance(e, Neg):
+        (a,) = kids
+        if isinstance(a, Const):
+            return Const(-a.value)
+        if isinstance(a, Neg):
+            return a.children[0]
+        return _rebuild(e, kids)
+    if isinstance(e, Add):
+        a, b = kids
+        if isinstance(a, Const) and isinstance(b, Const):
+            return Const(a.value + b.value)
+        if isinstance(a, Const) and a.value == 0:
+            return b
+        if isinstance(b, Const) and b.value == 0:
+            return a
+        return _rebuild(e, kids)
+    if isinstance(e, Mul):
+        a, b = kids
+        if isinstance(a, Const) and isinstance(b, Const):
+            return Const(a.value * b.value)
+        if (isinstance(a, Const) and a.value == 0) or (isinstance(b, Const) and b.value == 0):
+            return ZERO
+        if isinstance(a, Const) and a.value == 1:
+            return b
+        if isinstance(b, Const) and b.value == 1:
+            return a
+        return _rebuild(e, kids)
+    if isinstance(e, Div):
+        a, b = kids
+        if isinstance(b, Const) and b.value == 1:
+            return a
+        if isinstance(a, Const) and isinstance(b, Const) and b.value != 0:
+            return Const(a.value / b.value)
+        if isinstance(a, Const) and a.value == 0 and not isinstance(b, Const):
+            return ZERO
+        return _rebuild(e, kids)
+    if isinstance(e, Pow):
+        (a,) = kids
+        if e.exponent == 1:
+            return a
+        if e.exponent == 0:
+            return ONE
+        if isinstance(a, Const) and not (a.value == 0 and e.exponent < 0):
+            return Const(a.value ** e.exponent)
+        return _rebuild(e, kids)
+    return _rebuild(e, kids)
+
+
+def _rebuild(e, kids):
+    """``e`` over ``kids``: ``e`` itself when they are its own children."""
+    if all(k is c for k, c in zip(kids, e.children)):
+        return e
+    if isinstance(e, Pow):
+        return Pow(kids[0], e.exponent)
+    return type(e)(*kids)
+
+
+def _chain_simplify(e):
+    """The reference: simplify by the isinstance chain, with no cache."""
+    return _rewrite(e, [_chain_simplify(c) for c in e.children])
+
+
+@given(rich)
+@example(Neg(Neg(X)))
+@example(Neg(Neg(Neg(Exp(X)))))
+@example(Div(ONE, ZERO))
+@example(Div(ZERO, ZERO))
+@example(Div(ZERO, Mul(X, ONE)))
+@example(Pow(ZERO, -2))
+@example(Pow(Add(X, ZERO), 3))
+@example(Mul(Const(Fraction(1, 2)), Add(ONE, Neg(ONE))))
+@example(Cos(Sin(Exp(X))))
+def test_simplify_matches_the_isinstance_chain(e):
+    s = simplify(e)
+    assert repr(s) == repr(_chain_simplify(_copy(e)))
+    assert simplify(s) is s
+    # a node whose simplified children are its own comes back as itself
+    for n in (e, s):
+        kids = [simplify(c) for c in n.children]
+        if kids and all(k is c for k, c in zip(kids, n.children)) \
+                and _rewrite(n, kids) is n:
+            fresh = (Pow(kids[0], n.exponent) if isinstance(n, Pow)
+                     else type(n)(*kids))
+            assert simplify(fresh) is fresh
+
+
 def test_a_constant_literal_has_derivative_zero_at_once():
     e = parse_expr("(-4/3)")
     assert repr(e) == "Div(Neg(Const(4)), Const(3))"
