@@ -244,9 +244,8 @@ def split_section(s):
     g = s.bundle.gluing
     if g is None:
         raise ValueError("bundle was not built by gluing")
-    ids1 = {c.id for c in g.x1.charts}
-    s1 = {c: v for c, v in s.components.items() if c in ids1}
-    s2 = {c: v for c, v in s.components.items() if c not in ids1}
+    s1 = {c: v for c, v in s.components.items() if c in g.x1.charts}
+    s2 = {c: v for c, v in s.components.items() if c not in g.x1.charts}
     return s1, s2
 
 

@@ -31,7 +31,7 @@ from .dvspace import DvsModel, check_map_compatibility, dual_space, \
     standard_model
 from .forms import dual_metric_identity_check, lambda1
 from .linalg import identity, mat_mul, transpose, zeros
-from .wedge import Chart, WedgeComplex
+from .wedge import line
 
 
 class ConfigError(ValueError):
@@ -387,8 +387,7 @@ def _build_module(cfg):
     for cid, _ in (g["from"], g["to"]):
         i = _chart_index(cfg, cid)
         try:
-            lams.append(lambda1(WedgeComplex((Chart(cid),)),
-                                {cid: cfg["charts"][i]["h"]}))
+            lams.append(lambda1(line(cid), {cid: cfg["charts"][i]["h"]}))
         except (ValueError, ArithmeticError) as exc:
             raise ConfigError(f"/charts/{i}/h: {exc}")
     (c1, x1), (c2, x2) = g["from"], g["to"]

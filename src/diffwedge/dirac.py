@@ -69,8 +69,8 @@ def _leg_module(lam):
     fibres = {}
     metrics = {}
     for c in lam.base.charts:
-        fibres[c.id] = standard_model(2)
-        metrics[c.id] = [[ONE, ZERO], [ZERO, lam.h[c.id]]]
+        fibres[c] = standard_model(2)
+        metrics[c] = [[ONE, ZERO], [ZERO, lam.h[c]]]
     return trivial_bundle(lam.base, fibres, metrics)
 
 

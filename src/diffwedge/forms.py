@@ -49,14 +49,12 @@ def lambda1(base, h):
         pts = [Fraction(i, 2) for i in range(-4, 5)]
         for cls in base.glue_classes:
             for cid, x in cls:
-                if cid == c.id:
+                if cid == c:
                     pts.append(x)
         for x in pts:
-            if not c.contains(x):
-                continue
-            if symexpr.evaluate(hs[c.id], x) <= 0:
+            if symexpr.evaluate(hs[c], x) <= 0:
                 raise ValueError(
-                    f"metric coefficient on chart {c.id!r} is not positive "
+                    f"metric coefficient on chart {c!r} is not positive "
                     f"at {x}")
     return OneFormBundle(base, hs, gluing)
 

@@ -88,8 +88,6 @@ def _coerce(v):
         return v
     if isinstance(v, (int, Fraction)):
         return Const(Fraction(v))
-    if isinstance(v, float):
-        return Const(Fraction(v).limit_denominator(10**12))
     raise TypeError(f"cannot use {type(v).__name__} as an expression")
 
 

@@ -1,6 +1,7 @@
-"""Wedge complexes: finitely many 1-D charts glued along finite point sets.
+"""Wedge complexes: finitely many lines glued along finite point sets.
 
-Points are chart-local pairs (chart id, coordinate); a glue class is a
+A chart is a whole coordinate line named by its id.  Points are
+chart-local pairs (chart id, coordinate); a glue class is a
 set of such pairs identified to a single point of the quotient.  Gluing
 two complexes along a finite bijection of points merges classes, so the
 construction iterates.
@@ -12,22 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
-@dataclass(frozen=True)
-class Chart:
-    """One coordinate line; ``lo``/``hi`` bound an optional closed interval."""
-
-    id: str
-    lo: Fraction | None = None
-    hi: Fraction | None = None
-
-    def contains(self, x):
-        if self.lo is not None and x < self.lo:
-            return False
-        if self.hi is not None and x > self.hi:
-            return False
-        return True
-
-
 def _as_point(p):
     chart, coord = p
     return (chart, Fraction(coord))
@@ -35,12 +20,11 @@ def _as_point(p):
 
 @dataclass(frozen=True)
 class WedgeComplex:
-    charts: tuple
+    charts: tuple  # chart ids
     glue_classes: tuple = ()
 
     def __post_init__(self):
-        ids = [c.id for c in self.charts]
-        if len(set(ids)) != len(ids):
+        if len(set(self.charts)) != len(self.charts):
             raise ValueError("duplicate chart ids")
         seen = set()
         classes = []
@@ -49,17 +33,11 @@ class WedgeComplex:
             for p in pts:
                 if p in seen:
                     raise ValueError(f"point {p} appears in two glue classes")
-                if p[0] not in ids:
+                if p[0] not in self.charts:
                     raise ValueError(f"glue point on unknown chart {p[0]!r}")
                 seen.add(p)
             classes.append(pts)
         object.__setattr__(self, "glue_classes", tuple(classes))
-
-    def chart(self, cid):
-        for c in self.charts:
-            if c.id == cid:
-                return c
-        raise KeyError(cid)
 
     def class_of(self, p):
         p = _as_point(p)
@@ -76,15 +54,19 @@ class WedgeComplex:
         return i is not None and q in self.glue_classes[i]
 
 
-def line(cid="x"):
-    return WedgeComplex((Chart(cid),))
+def line(cid):
+    return WedgeComplex((cid,))
+
+
+def _check_chart(x, p):
+    if p[0] not in x.charts:
+        raise KeyError(p[0])
 
 
 def branches_at(x, p):
     """All chart-incidences of the point: length 1 away from the gluing."""
     p = _as_point(p)
-    if not x.chart(p[0]).contains(p[1]):
-        raise ValueError(f"point {p} not in complex")
+    _check_chart(x, p)
     i = x.class_of(p)
     if i is None:
         return [p]
@@ -120,9 +102,9 @@ class Gluing:
         return _as_point(p)
 
     def leg_of_chart(self, cid):
-        if any(c.id == cid for c in self.x1.charts):
+        if cid in self.x1.charts:
             return 1
-        if any(c.id == cid for c in self.x2.charts):
+        if cid in self.x2.charts:
             return 2
         raise KeyError(cid)
 
@@ -133,9 +115,7 @@ def glue_complexes(x1, x2, f):
     ``f`` is a list of ((chart1, coord1), (chart2, coord2)) pairs; it
     must be injective and chart ids of the two complexes disjoint.
     """
-    ids1 = {c.id for c in x1.charts}
-    ids2 = {c.id for c in x2.charts}
-    if ids1 & ids2:
+    if set(x1.charts) & set(x2.charts):
         raise ValueError("chart ids of the two complexes must be disjoint")
     pairs = tuple((_as_point(a), _as_point(b)) for a, b in f)
     dom = [a for a, _ in pairs]
@@ -143,8 +123,8 @@ def glue_complexes(x1, x2, f):
     if len(set(dom)) != len(dom) or len(set(img)) != len(img):
         raise ValueError("glue map must be a bijection of points")
     for a, b in pairs:
-        if not x1.chart(a[0]).contains(a[1]) or not x2.chart(b[0]).contains(b[1]):
-            raise ValueError("glue point outside its chart domain")
+        _check_chart(x1, a)
+        _check_chart(x2, b)
 
     # start from existing classes (as merge sets), then merge across the map
     groups = [set(cls) for cls in x1.glue_classes]

@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from diffwedge.wedge import (Chart, WedgeComplex, branches_at, glue_complexes,
-                             line, switch_map)
+from diffwedge.wedge import (WedgeComplex, branches_at, glue_complexes, line,
+                             switch_map)
 
 
 def test_two_lines_at_origin():
@@ -64,13 +64,6 @@ def test_switch_map_involution():
         assert rev.result.same_point(phi(("a", 0)), ("b", 0))
 
 
-def test_interval_charts():
-    half = WedgeComplex((Chart("h", lo=Fraction(0)),))
-    g = glue_complexes(line("a"), half, [(("a", 0), ("h", 0))])
-    with pytest.raises(ValueError):
-        branches_at(g.result, ("h", -1))
-
-
 def test_errors():
     with pytest.raises(ValueError):
         glue_complexes(line("a"), line("a"), [])
@@ -78,5 +71,20 @@ def test_errors():
         glue_complexes(line("a"), line("b"),
                        [(("a", 0), ("b", 0)), (("a", 1), ("b", 0))])
     with pytest.raises(ValueError):
-        WedgeComplex((Chart("a"), Chart("b")),
+        WedgeComplex(("a", "b"),
                      ((("a", 0), ("b", 0)), (("a", 0), ("b", 1))))
+
+
+def test_unknown_charts():
+    with pytest.raises(KeyError) as exc:
+        branches_at(line("a"), ("z", 0))
+    assert exc.value.args == ("z",)
+    for pairs, missing in (([(("z", 0), ("b", 0))], "z"),
+                           ([(("a", 0), ("z", 0))], "z"),
+                           # each point must lie on its own leg
+                           ([(("b", 0), ("a", 0))], "b")):
+        with pytest.raises(KeyError) as exc:
+            glue_complexes(line("a"), line("b"), pairs)
+        assert exc.value.args == (missing,)
+    with pytest.raises(ValueError, match="unknown chart 'z'"):
+        WedgeComplex(("a",), ((("a", 0), ("z", 0)),))

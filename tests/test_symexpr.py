@@ -127,6 +127,14 @@ def test_operator_overloading():
     assert evaluate(X / 2, Fraction(5)) == Fraction(5, 2)
 
 
+def test_a_float_operand_is_refused():
+    # a float would be rounded to a nearby rational; say so instead
+    for build in (lambda: X * 0.1, lambda: 0.1 + X, lambda: X - 0.5,
+                  lambda: 2.0 / X):
+        with pytest.raises(TypeError, match="cannot use float"):
+            build()
+
+
 def test_max_residual_keeps_the_first_worst_point():
     pts = [Fraction(-2), Fraction(1), Fraction(2)]
     # residuals 4, 1, 4: the later tie does not move the witness
