@@ -133,14 +133,13 @@ class PseudoBundle:
 
 
 def trivial_bundle(base, fibres, metrics):
-    fibres = dict(fibres)
+    """The bundle with the given fibre and metric on each chart of an
+    unglued base; a glued bundle comes from ``glue_bundles``."""
+    if base.glue_classes:
+        raise ValueError("a trivial bundle needs a base with no glue "
+                         "classes; glue bundles with glue_bundles")
     metrics = {c: expr_matrix(m) for c, m in metrics.items()}
-    glue = []
-    for cls in base.glue_classes:
-        rep = cls[-1]
-        maps = {p: identity(fibres[p[0]].dim) for p in cls if p != rep}
-        glue.append((rep, maps))
-    return PseudoBundle(base, fibres, metrics, None, tuple(glue))
+    return PseudoBundle(base, dict(fibres), metrics)
 
 
 def _rep(gluing, cls):
@@ -309,7 +308,7 @@ def dual_bundle(v):
             metrics[c] = expr_matrix(dual_metric(
                 m, [[e.value for e in row] for row in g]))
     if v.gluing is not None:
-        rev, _ = switch_map(v.gluing)
+        rev = switch_map(v.gluing)
         glue = []
         for cls in rev.result.glue_classes:
             # representative of the reversed gluing is the original leg 1
@@ -324,12 +323,7 @@ def dual_bundle(v):
                     maps[p] = transpose(v.glue_map(i_orig, rep))
             glue.append((rep, maps))
         return PseudoBundle(rev.result, fibres, metrics, rev, tuple(glue))
-    glue = []
-    for i, (rep, _) in enumerate(v.glue_maps):
-        maps = {p: transpose(inverse([r[:] for r in v.glue_map(i, p)]))
-                for p in v.base.glue_classes[i] if p != rep}
-        glue.append((rep, maps))
-    return PseudoBundle(v.base, fibres, metrics, v.gluing, tuple(glue))
+    return PseudoBundle(v.base, fibres, metrics)
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,7 @@ def exterior_module(lam1, lam2, glue_points, scale=1):
     fprime = [[Fraction(1), Fraction(0)], [Fraction(0), a]]
     glued = glue_bundles(b1, b2, glue_points, fprime)
     h = {**lam1.h, **lam2.h}
-    lam = OneFormBundle(glued.base, h, glued.gluing)
+    lam = OneFormBundle(glued.base, h)
     scales = {_as_point(p): a for p, _ in glue_points}
     return CliffordModule(glued, lam, scales)
 

@@ -21,7 +21,6 @@ from .wedge import Gluing, WedgeComplex, branches_at
 class OneFormBundle:
     base: WedgeComplex
     h: dict                 # chart id -> Expr metric coefficient
-    gluing: Gluing | None = None
 
     def h_at(self, cid, x):
         return symexpr.evaluate(self.h[cid], x)
@@ -41,9 +40,8 @@ def lambda1(base, h):
     The coefficients must be positive where sampled: on a fixed grid of 9
     points on [-2, 2] per chart plus the glue coordinates.
     """
-    gluing = None
     if isinstance(base, Gluing):
-        gluing, base = base, base.result
+        base = base.result
     hs = {c: as_expr(e) for c, e in h.items()}
     for c in base.charts:
         pts = [Fraction(i, 2) for i in range(-4, 5)]
@@ -56,7 +54,7 @@ def lambda1(base, h):
                 raise ValueError(
                     f"metric coefficient on chart {c!r} is not positive "
                     f"at {x}")
-    return OneFormBundle(base, hs, gluing)
+    return OneFormBundle(base, hs)
 
 
 def differential(base, funcs):

@@ -639,10 +639,7 @@ def differentiate(e):
     elif isinstance(e, Pow):
         a = e.children[0]
         k = e.exponent
-        if k == 0:
-            d = ZERO
-        else:
-            d = simplify(Mul(Mul(Const(k), Pow(a, k - 1)), differentiate(a)))
+        d = simplify(Mul(Mul(Const(k), Pow(a, k - 1)), differentiate(a)))
     else:
         arg = e.children[0]
         darg = differentiate(arg)

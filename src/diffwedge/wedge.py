@@ -46,13 +46,6 @@ class WedgeComplex:
                 return i
         return None
 
-    def same_point(self, p, q):
-        p, q = _as_point(p), _as_point(q)
-        if p == q:
-            return True
-        i = self.class_of(p)
-        return i is not None and q in self.glue_classes[i]
-
 
 def line(cid):
     return WedgeComplex((cid,))
@@ -82,24 +75,6 @@ class Gluing:
     x2: WedgeComplex
     pairs: tuple  # ((chart1, coord1), (chart2, coord2)), ...
     result: WedgeComplex
-
-    def i1(self, p):
-        """Injection of X1 minus the glue locus."""
-        p = _as_point(p)
-        if any(p == a for a, _ in self.pairs):
-            raise ValueError(f"{p} is a glue point; use i1_tilde")
-        return p
-
-    def i1_tilde(self, p):
-        """Extension of i1 to all of X1: glue points land on their class."""
-        p = _as_point(p)
-        for a, b in self.pairs:
-            if p == a:
-                return b
-        return p
-
-    def i2(self, p):
-        return _as_point(p)
 
     def leg_of_chart(self, cid):
         if cid in self.x1.charts:
@@ -147,12 +122,10 @@ def glue_complexes(x1, x2, f):
 
 
 def switch_map(gluing):
-    """Point map to the reversed gluing X2 cup X1; an involution.
+    """The reversed gluing X2 cup X1 of the same points; an involution.
 
-    Returns (reversed gluing, map).  In chart-local coordinates the map
-    is the identity on representatives: i1(x) goes to i2(x), i2(y) to
-    i1(y) or its class, and glue classes to the matching classes.
+    A point keeps its chart-local coordinates, so the point map between
+    the two quotients is the identity on (chart id, coordinate) pairs.
     """
-    rev = glue_complexes(gluing.x2, gluing.x1,
-                         [(b, a) for a, b in gluing.pairs])
-    return rev, _as_point
+    return glue_complexes(gluing.x2, gluing.x1,
+                          [(b, a) for a, b in gluing.pairs])

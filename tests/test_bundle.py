@@ -41,6 +41,13 @@ def test_glue_rejects_singular_map():
         two_planes(scale=0)
 
 
+def test_trivial_bundle_needs_an_unglued_base():
+    base = two_planes().base
+    with pytest.raises(ValueError, match="no glue classes"):
+        trivial_bundle(base, {c: standard_model(1) for c in base.charts},
+                       {c: [["1"]] for c in base.charts})
+
+
 def test_empty_glue_locus():
     b1 = trivial_bundle(line("a"), {"a": standard_model(1)}, {"a": [["1"]]})
     b2 = trivial_bundle(line("b"), {"b": standard_model(1)}, {"b": [["1"]]})

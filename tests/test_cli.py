@@ -220,6 +220,16 @@ DIRAC_AT_POLE = {"charts": [{"id": "a", "h": "1/(x-1/7)^2"},
                            "points": [["a", 1]]}},
        "/charts/0/h: degree bound 100000000 above 4096")
       for command in ("check", "report", "dirac")],
+    # JSON's NaN and Infinity are floats with no rational value
+    ("check", {"charts": [{"id": "a", "h": float("nan")}]},
+     "/charts/0/h: not a finite number"),
+    ("check", {"charts": [{"id": "a", "h": float("inf")}]},
+     "/charts/0/h: not a finite number"),
+    ("check", {**GLUED, "gluings": [{"points": "ab"}]},
+     "/gluings/0: needs [from, to] points"),
+    ("dirac", {**GLUED, "dirac": {"sections": [{"z": ["x", "1"]}],
+                                  "points": [["a", 0]]}},
+     "/dirac/sections/0: unknown chart z"),
 ], ids=["tol", "glue-point", "nested-parentheses", "long-sum",
         "one-component-section", "point-section-lacks", "point-unknown-chart",
         "charts-object", "gluings-object", "sections-object",
@@ -239,7 +249,8 @@ DIRAC_AT_POLE = {"charts": [{"id": "a", "h": "1/(x-1/7)^2"},
         "dirac-without-gluing", "chart-without-id",
         "nonsmooth-vector-length", "metric-shape", "h-degree-check",
         "h-degree-report", "h-degree-dirac", "h-constant-power-check",
-        "h-constant-power-report", "h-constant-power-dirac"])
+        "h-constant-power-report", "h-constant-power-dirac", "h-nan",
+        "h-infinity", "gluing-points-string", "section-unknown-chart"])
 def test_malformed_values_exit_two(tmp_path, capsys, command, data, pointer):
     assert main([command, write_cfg(tmp_path, data)]) == 2
     assert pointer in capsys.readouterr().err

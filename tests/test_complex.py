@@ -25,16 +25,23 @@ def test_three_consecutive_gluings():
     assert len(g2.result.glue_classes[0]) == 3
 
 
-def test_injections():
-    g = glue_complexes(line("a"), line("b"), [(("a", 0), ("b", 0))])
-    assert g.i1(("a", 1)) == ("a", Fraction(1))
-    with pytest.raises(ValueError):
-        g.i1(("a", 0))
-    assert g.i1_tilde(("a", 0)) == ("b", Fraction(0))
-    assert g.i2(("b", 0)) == ("b", Fraction(0))
-    # images of i1 off the locus and i2 cover everything: same point test
-    assert g.result.same_point(("a", 0), ("b", 0))
-    assert not g.result.same_point(("a", 1), ("b", 1))
+def test_gluing_onto_a_glued_point_joins_its_class():
+    g1 = glue_complexes(line("a"), line("b"), [(("a", 0), ("b", 0))])
+    g2 = glue_complexes(line("c"), g1.result, [(("c", 0), ("b", 0))])
+    assert g2.result.glue_classes == (
+        (("a", Fraction(0)), ("b", Fraction(0)), ("c", Fraction(0))),)
+
+
+def test_gluing_two_glued_points_merges_their_classes():
+    ab = glue_complexes(line("a"), line("b"), [(("a", 0), ("b", 0))]).result
+    cd = glue_complexes(line("c"), line("d"), [(("c", 0), ("d", 0))]).result
+    merged = ((("a", Fraction(0)), ("b", Fraction(0)),
+               ("c", Fraction(0)), ("d", Fraction(0))),)
+    g = glue_complexes(ab, cd, [(("a", 0), ("c", 0))])
+    assert g.result.glue_classes == merged
+    # a pair whose points already share the class changes nothing
+    g = glue_complexes(ab, cd, [(("a", 0), ("c", 0)), (("b", 0), ("d", 0))])
+    assert g.result.glue_classes == merged
 
 
 def test_branches():
@@ -53,15 +60,12 @@ def test_branch_count_is_class_size():
 
 
 def test_switch_map_involution():
-    g = glue_complexes(line("a"), line("b"), [(("a", 0), ("b", 0))])
-    rev, phi = switch_map(g)
-    rev2, psi = switch_map(rev)
-    pts = [("a", Fraction(k, 3)) for k in range(-5, 5)] + \
-          [("b", Fraction(k, 2)) for k in range(-4, 5)]
-    for p in pts:
-        assert g.result.same_point(psi(phi(p)), p)
-        # glue classes map to the matching classes
-        assert rev.result.same_point(phi(("a", 0)), ("b", 0))
+    g = glue_complexes(line("a"), line("b"),
+                       [(("a", 0), ("b", 0)), (("a", 2), ("b", -1))])
+    rev = switch_map(g)
+    assert (rev.x1, rev.x2) == (g.x2, g.x1)
+    assert rev.pairs == tuple((b, a) for a, b in g.pairs)
+    assert switch_map(rev) == g
 
 
 def test_errors():

@@ -84,6 +84,22 @@ def test_is_pseudo_metric_failures():
         is_pseudo_metric(M3, [[1, 0], [0, 1]])
 
 
+def test_is_pseudo_metric_kernel_other_than_k():
+    k3 = DvsModel(3, ((0, 0, 1),))
+    v = is_pseudo_metric(k3, [[1, 0, 0], [0, 0, 0], [0, 0, 0]])
+    assert not v.ok and v.witness == "kernel too large (degenerate beyond K)"
+    v = is_pseudo_metric(k3, [[1, 0, 0], [0, 0, 0], [0, 0, 1]])
+    assert not v.ok and v.witness == "kernel differs from K"
+
+
+def test_model_rejects_bad_shapes():
+    with pytest.raises(ValueError, match="^dimension must be positive$"):
+        DvsModel(0)
+    with pytest.raises(ValueError, match="^generator length does not match "
+                                         "dimension$"):
+        DvsModel(2, ((1, 0, 0),))
+
+
 def test_characteristic_subspace():
     v0 = characteristic_subspace(M3, A3)
     assert len(v0) == 2

@@ -1,6 +1,7 @@
 """Every name a module imports is used in that module, and every public
-name of the package is reached from the package, the demos or the
-benchmark, or is listed below with the reason it stays."""
+name of the package, public methods of public classes included, is reached
+from the package, the demos or the benchmark, or is listed below with the
+reason it stays."""
 
 import ast
 import importlib
@@ -44,10 +45,10 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-# Public names with no caller yet, each with the reason it stays: a ROADMAP
-# item that will call it, a test that uses it as an oracle, or the
-# benchmark's tracer test, which asserts that `forms` binds `simplify`
-# (`differential` is that module's only call of it).
+# Public names and methods with no caller yet, each with the reason it
+# stays: a ROADMAP item that will call it, a test that uses it as an oracle,
+# or the benchmark's tracer test, which asserts that `forms` binds
+# `simplify` (`differential` is that module's only call of it).
 UNREACHED = {
     "bundle.glue_sections": "item 9",
     "bundle.split_section": "item 9",
@@ -64,11 +65,14 @@ UNREACHED = {
     "clifford.filtration_degree": "item 8",
     "dvspace.characteristic_subspace": "oracle",
     "forms.differential": "perfbench binding",
+    "bundle.PseudoBundle.metric_at": "item 9",
+    "bundle.Section.value_at": "item 9",
 }
 
 
 def public_definitions(tree):
-    """(name, node) for each public top-level def, class or assignment."""
+    """(name, node) for each public top-level def, class or assignment,
+    and for each public method of a public class, named ``Class.method``."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             targets = [node.name]
@@ -77,27 +81,35 @@ def public_definitions(tree):
         else:
             continue
         yield from ((name, node) for name in targets if not name.startswith("_"))
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            yield from ((f"{node.name}.{f.name}", f) for f in node.body
+                        if isinstance(f, ast.FunctionDef)
+                        and not f.name.startswith("_"))
 
 
 def unreached_names():
     """Public names of the package that no Name or Attribute node in the
     package, the demos or the benchmark refers to, outside the name's own
-    definition."""
+    definition.  A method counts as reached by an Attribute node of its
+    name on any object, since the scan does not know types."""
     trees = {p: ast.parse(p.read_text()) for d in (PACKAGE, ROOT / "demos",
                                                    ROOT / "perfbench")
              for p in sorted(d.glob("*.py"))}
-    refs = {}
+    refs, attrs = {}, {}
     for tree in trees.values():
         for n in ast.walk(tree):
             if isinstance(n, ast.Name):
                 refs.setdefault(n.id, []).append(n)
             elif isinstance(n, ast.Attribute):
                 refs.setdefault(n.attr, []).append(n)
+                attrs.setdefault(n.attr, []).append(n)
     out = set()
     for path in MODULES:
         for name, node in public_definitions(trees[path]):
             own = {id(n) for n in ast.walk(node)}
-            if all(id(n) in own for n in refs.get(name, [])):
+            cls, _, attr = name.rpartition(".")
+            found = attrs.get(attr, []) if cls else refs.get(name, [])
+            if all(id(n) in own for n in found):
                 out.add(f"{path.stem}.{name}")
     return out
 
