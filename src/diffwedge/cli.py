@@ -235,8 +235,7 @@ def _scalar(v):
     if isinstance(v, str):
         return _quote(v)
     if isinstance(v, Fraction):
-        return _quote(f"{v.numerator}/{v.denominator}" if v.denominator != 1
-                      else str(v.numerator))
+        return _quote(str(v))
     if v is True:
         return "true"
     if v is False:
@@ -261,15 +260,22 @@ class _Table(tuple):
 def _emit(v, out, nl):
     """Append the JSON text of ``v`` to ``out``; ``nl`` is a newline and the
     indent of the line v starts on.  A leaf member is written with its
-    separator in one piece, and so is a member of a ``_Table``."""
+    separator in one piece, and so is a member of a ``_Table``, whose
+    coefficients are few objects shared by many rows: each object's text is
+    made once, keyed by identity, since 1, 1.0 and Fraction(1) are equal
+    but render apart."""
     inner = nl + "  "
     if isinstance(v, _Table):
         (rows,) = v                 # never empty: 1 . 1 is a row
         leaf = inner + "  "
+        texts = {}
         sep = "{"
         for a, b, c, x in rows:     # blade names need no escapes
+            text = texts.get(id(x))
+            if text is None:
+                text = texts[id(x)] = _scalar(x)
             out.append(f'{sep}{inner}"{a} . {b}": {{{leaf}"{c}": '
-                       f'{_scalar(x)}{inner}}}')
+                       f'{text}{inner}}}')
             sep = ","
         out.append(nl + "}")
     elif isinstance(v, dict):
@@ -560,8 +566,18 @@ def _fibre_suite(cfg):
 # ---------------------------------------------------------------------------
 # commands
 
+# The Clifford table has 4^dim rows: at dim 10, 90 MB of report.
+_MAX_TABLE_DIM = 10
+
+
 def run(command, cfg, seed=0, tol=None):
     tol = cfg["tol"] if tol is None else tol
+    fibre = cfg["fibre"]
+    metric = fibre and fibre["metric"]     # dim x dim, or None
+    if command in ("clifford-table", "report") and metric is not None \
+            and len(metric) > _MAX_TABLE_DIM:
+        raise ConfigError(f"/fibre/dim: {len(metric)} above {_MAX_TABLE_DIM}, "
+                          "too large for a Clifford table of 4^dim rows")
     report = {"command": command, "name": cfg["name"], "seed": seed,
               "verdicts": [], "values": {}}
     # report runs every block the config has, each once
@@ -577,14 +593,13 @@ def run(command, cfg, seed=0, tol=None):
         elif command == "dual-metric":
             raise ConfigError("dual-metric needs a fibre block")
     if command in ("clifford-table", "report"):
-        fibre = cfg["fibre"]
-        if fibre is not None and fibre["metric"] is not None:
+        if metric is not None:
             try:
-                alg = build_algebra(fibre["model"], fibre["metric"])
+                alg = build_algebra(fibre["model"], metric)
             except ValueError:      # not a pseudo-metric: no table
                 if command == "clifford-table":     # report's fibre suite says so
                     report["verdicts"].append(_metric_verdict(
-                        is_pseudo_metric(fibre["model"], fibre["metric"]),
+                        is_pseudo_metric(fibre["model"], metric),
                         fibre["model"]))
             else:
                 report["values"]["clifford_table"] = _Table(

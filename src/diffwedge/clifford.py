@@ -35,8 +35,13 @@ class CliffordAlgebra:
 
     @cached_property
     def _factors(self):
-        """_blade_factors(self.diag), computed once."""
+        """_blade_factors(self.diag), the product rule, computed once."""
         return _blade_factors(self.diag)
+
+    @cached_property
+    def _wedge_rule(self):
+        """The product rule of the q = 0 case, for wedge products."""
+        return _blade_factors((0,) * self.n)
 
     def blade_name(self, mask):
         if mask == 0:
@@ -64,40 +69,44 @@ def exterior_algebra(n):
 
 
 def _blade_factors(diag):
-    """The metric factor of every mask: ``factors[m]`` is the product of
-    -diag[i] over the bits i of m, multiplied in increasing i starting
-    from the int 1 (so factors[m] = factors[m without its top bit] *
-    -diag[top], and float diagonals round as a left-to-right product)."""
+    """The product rule of the blades: ``(flips, (factors, negated))``.
+
+    ``factors[m]`` is the product of -diag[i] over the bits i of m,
+    multiplied in increasing i starting from the int 1 (so factors[m] =
+    factors[m without its top bit] * -diag[top], and float diagonals round
+    as a left-to-right product); ``negated[m]`` is -factors[m].
+    ``flips[a]`` is the xor of a >> k over k >= 1, so that the parity of
+    sum_k>=1 popcount((a >> k) & b) is that of popcount(b & flips[a]).
+    """
     factors = [1]
     for d in diag:
         factors += [f * -d for f in factors]
-    return factors
+    flips = [0]
+    for a in range(1, len(factors)):
+        flips.append(flips[a >> 1] ^ (a >> 1))
+    return flips, (factors, [-f for f in factors])
 
 
-def blade_mul(mask_a, mask_b, factors):
+def blade_mul(mask_a, mask_b, rule):
     """Product of two basis blades: (result mask, signed coefficient).
 
-    ``factors`` is ``_blade_factors`` of the diagonal.  Each generator of
-    b passes the generators of a above it, so the sign is the parity of
-    sum_k>=1 popcount((a >> k) & b); each generator the two share squares
-    to -diag[i], giving the factor ``factors[a & b]``.  With nothing
-    shared the coefficient is the int 1 or -1.
+    ``rule`` is ``_blade_factors`` of the diagonal.  Each generator of b
+    passes the generators of a above it, so the sign is the parity of
+    sum_k>=1 popcount((a >> k) & b), that of popcount(b & flips[a]); each
+    generator the two share squares to -diag[i], giving the factor
+    ``factors[a & b]``.  With nothing shared the coefficient is the int 1
+    or -1.
     """
-    swaps = 0
-    a = mask_a >> 1
-    while a:
-        swaps += (a & mask_b).bit_count()
-        a >>= 1
-    common = mask_a & mask_b
-    coeff = factors[common] if common else 1
-    return mask_a ^ mask_b, -coeff if swaps & 1 else coeff
+    flips, signed = rule
+    return (mask_a ^ mask_b,
+            signed[(mask_b & flips[mask_a]).bit_count() & 1][mask_a & mask_b])
 
 
-def _combine(alg, a, b, factors):
+def _combine(alg, a, b, rule):
     out = {}
     for sa, ca in a.items():
         for sb, cb in b.items():
-            mask, coeff = blade_mul(sa, sb, factors)
+            mask, coeff = blade_mul(sa, sb, rule)
             val = out.get(mask, 0) + ca * cb * coeff
             if val == 0:
                 out.pop(mask, None)
@@ -113,7 +122,7 @@ def cl_mul(alg, a, b):
 
 def wedge(alg, a, b):
     """Exterior product: the q = 0 specialization of the same blade rule."""
-    return _combine(alg, a, b, _blade_factors((0,) * alg.n))
+    return _combine(alg, a, b, alg._wedge_rule)
 
 
 def mv_add(a, b):
@@ -174,7 +183,7 @@ def contract(alg, coords, a):
 def cl_action(alg, coords, a):
     """c(v) = wedge by v minus contraction by v, v in frame coordinates."""
     v = {1 << i: c for i, c in enumerate(coords) if c != 0}
-    ext = _combine(alg, v, a, _blade_factors((0,) * alg.n))
+    ext = _combine(alg, v, a, alg._wedge_rule)
     return mv_add(ext, mv_scale(-1, contract(alg, coords, a)))
 
 
@@ -220,11 +229,11 @@ def multiplication_table(alg):
     """
     names = [alg.blade_name(mask) for mask in range(alg.dim)]
     order = sorted(range(alg.dim), key=names.__getitem__)
-    factors = alg._factors
+    rule = alg._factors
     rows = []
     for sa in order:
         name_a = names[sa]
         for sb in order:
-            mask, coeff = blade_mul(sa, sb, factors)
+            mask, coeff = blade_mul(sa, sb, rule)
             rows.append((name_a, names[sb], names[mask], coeff))
     return rows

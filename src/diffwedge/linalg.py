@@ -14,7 +14,10 @@ from operator import mul
 
 
 def frac_matrix(rows):
-    return [[Fraction(v) for v in row] for row in rows]
+    """Fresh rows of ``rows`` with every entry a Fraction; an entry that is
+    one already is kept, not rebuilt."""
+    return [[v if type(v) is Fraction else Fraction(v) for v in row]
+            for row in rows]
 
 
 def identity(n):

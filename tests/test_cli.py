@@ -701,6 +701,64 @@ def test_clifford_table_renders_as_the_old_dict(diag):
         _canon(old), sort_keys=True, indent=2) + "\n"
 
 
+def test_table_text_is_keyed_by_object_not_value():
+    # equal coefficients that render apart, and two equal Fraction objects
+    half, other_half = Fraction(1, 2), Fraction(2, 4)
+    coeffs = [1, Fraction(1), 1.0, -1, Fraction(-1), 0.0, -0.0, Fraction(0),
+              half, other_half, 1, -0.0]
+    rows = sorted(((f"e{i}", "e1", "1", x) for i, x in enumerate(coeffs)),
+                  key=lambda r: f"{r[0]} . {r[1]}")
+    report = {"values": {"clifford_table": cli._Table((rows,))}}
+    old = {"values": {"clifford_table": {f"{a} . {b}": {c: x}
+                                         for a, b, c, x in rows}}}
+    assert render_report(report) == json.dumps(
+        _canon(old), sort_keys=True, indent=2) + "\n"
+
+
+@given(st.fractions())
+@example(Fraction(0))
+@example(Fraction(-7))
+@example(Fraction(-3, 4))
+def test_scalar_writes_a_fraction_as_p_over_q(v):
+    old = f"{v.numerator}/{v.denominator}" if v.denominator != 1 \
+        else str(v.numerator)
+    assert cli._scalar(v) == json.dumps(old)
+
+
+def _standard_fibre(dim):
+    return {"name": "big", "fibre": {
+        "dim": dim, "metric": [[int(i == j) for j in range(dim)]
+                               for i in range(dim)]}}
+
+
+class _Built(Exception):
+    pass
+
+
+def _refuse(*args):
+    raise _Built(args[0].n if len(args) == 1 else args)
+
+
+@pytest.mark.parametrize("command", ["clifford-table", "report"])
+def test_a_fibre_above_dim_ten_has_no_table(tmp_path, capsys, command):
+    # dim 11 is 4^11 rows; refused before any suite runs or a table is built
+    p = write_cfg(tmp_path, {**GLUED, **_standard_fibre(11)})
+    with mock.patch.object(cli, "multiplication_table", _refuse), \
+            mock.patch.object(cli, "_glued_suite", _refuse), \
+            mock.patch.object(cli, "_fibre_suite", _refuse):
+        assert main([command, p]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("config error: /fibre/dim: 11 above 10, too large for a "
+                   "Clifford table of 4^dim rows\n")
+    # dim 10 is still tabled, and dual-metric has no table to bound
+    cfg = load_config(write_cfg(tmp_path, _standard_fibre(10)))
+    with mock.patch.object(cli, "multiplication_table", _refuse):
+        with pytest.raises(_Built, match="10"):
+            run(command, cfg)
+    assert run("dual-metric", load_config(p))[1] == 0
+
+
 # ---------------------------------------------------------------------------
 # config fuzzer: one node of a shipped config given a value of another type
 

@@ -4,7 +4,8 @@ from itertools import product
 import pytest
 from hypothesis import example, given, strategies as st
 
-from diffwedge.clifford import (CliffordAlgebra, build_algebra, cl_action, cl_mul, contract,
+from diffwedge.clifford import (CliffordAlgebra, _blade_factors, blade_mul,
+                                build_algebra, cl_action, cl_mul, contract,
                                 exterior_algebra, filtration_degree, mv_add,
                                 mv_scale, multiplication_table, parity,
                                 quantize, scalar, symbol, to_frame_coords,
@@ -288,3 +289,62 @@ def test_multiplication_table_matches_the_bit_loop(diag):
     # the rows come in the sorted order of the report keys "a . b"
     keys = [f"{a} . {b}" for a, b, _, _ in rows]
     assert keys == sorted(keys)
+
+
+def test_flips_give_the_popcount_sign_exhaustively():
+    flips, _ = _blade_factors([1] * 8)
+    for a in range(1 << 8):
+        for b in range(1 << 8):
+            swaps = sum(((a >> k) & b).bit_count() for k in range(1, 8))
+            assert (b & flips[a]).bit_count() % 2 == swaps % 2, (a, b)
+
+
+def _combine_by_bits(a, b, diag):
+    """cl_mul's accumulation, on the bit loop's blade products."""
+    out = {}
+    for sa, ca in a.items():
+        for sb, cb in b.items():
+            mask, coeff = _blade_mul_by_bits(sa, sb, diag)
+            val = out.get(mask, 0) + ca * cb * coeff
+            if val == 0:
+                out.pop(mask, None)
+            else:
+                out[mask] = val
+    return out
+
+
+def _multivectors(n):
+    return st.dictionaries(
+        st.integers(0, (1 << n) - 1),
+        st.integers(-3, 3) | st.fractions(max_denominator=5)
+        | st.floats(-4, 4, allow_nan=False, allow_infinity=False),
+        max_size=6)
+
+
+@given(st.data(), DIAGONALS)
+def test_products_match_the_bit_loop(data, diag):
+    # cl_mul, wedge and cl_action against the bit loop, repr for repr
+    n = len(diag)
+    a = data.draw(_multivectors(n))
+    b = data.draw(_multivectors(n))
+    coords = data.draw(st.lists(st.integers(-2, 2) | st.fractions(
+        max_denominator=3), min_size=n, max_size=n))
+    alg = CliffordAlgebra(n, (), tuple(diag))
+    assert repr(cl_mul(alg, a, b)) == repr(_combine_by_bits(a, b, alg.diag))
+    zero = (0,) * n
+    assert repr(wedge(alg, a, b)) == repr(_combine_by_bits(a, b, zero))
+    v = {1 << i: c for i, c in enumerate(coords) if c != 0}
+    want = mv_add(_combine_by_bits(v, b, zero),
+                  mv_scale(-1, contract(alg, coords, b)))
+    assert repr(cl_action(alg, coords, b)) == repr(want)
+
+
+@pytest.mark.parametrize("diag", [
+    (2.0, -0.5, 0.0, 3.0, -1 / 3, -0.0, 1.0, 0.1),
+    tuple(map(Fraction, (2, -1, 0, 3, Fraction(-1, 3), 0, 1, Fraction(7, 2))))])
+def test_blade_mul_matches_the_bit_loop_at_n8(diag):
+    rule = _blade_factors(diag)
+    for sa in range(1 << 8):
+        for sb in range(1 << 8):
+            got = blade_mul(sa, sb, rule)
+            assert repr(got) == repr(_blade_mul_by_bits(sa, sb, diag))

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 from hypothesis import example, given, strategies as st
 
-from diffwedge.linalg import mat_mul, rref, zeros
+from diffwedge.linalg import frac_matrix, mat_mul, rref, zeros
 
 
 def _rref_by_fractions(m):
@@ -98,3 +98,17 @@ def test_mat_mul_matches_the_loop(ab):
     assert got == want
     assert [[type(v) for v in row] for row in got] == \
         [[type(v) for v in row] for row in want]
+
+
+def test_frac_matrix_keeps_fractions_and_copies_rows():
+    third = Fraction(1, 3)
+    rows = [[1, 0.5, "-3/4", True], [third, Fraction(2), False, "7"]]
+    out = frac_matrix(rows)
+    assert out == [[1, Fraction(1, 2), Fraction(-3, 4), 1],
+                   [third, 2, 0, 7]]
+    assert all(type(v) is Fraction for row in out for v in row)
+    assert out[1][0] is third and out[1][1] is rows[1][1]
+    out[0][0] = Fraction(9)
+    out[1].append(Fraction(5))
+    assert rows == [[1, 0.5, "-3/4", True], [third, Fraction(2), False, "7"]]
+    assert all(a is not b for a, b in zip(out, rows))
