@@ -34,12 +34,11 @@ B = dual_metric(model, A)
 print("dual metric B =", show(B))
 
 print("\ndefining identity B(phi(e_i), phi(e_j)) = A[i][j]:")
+# phi[i] = phi(e_i), all three from one call
+phi = pairing_map(model, A, [[int(t == i) for t in range(3)] for i in range(3)])
 for i in range(3):
     for j in range(3):
-        ei = [Fraction(int(t == i)) for t in range(3)]
-        ej = [Fraction(int(t == j)) for t in range(3)]
-        pi = pairing_map(model, A, ei)
-        pj = pairing_map(model, A, ej)
-        lhs = sum(pi[s] * B[s][t] * pj[t] for s in range(2) for t in range(2))
+        lhs = sum(phi[i][s] * B[s][t] * phi[j][t]
+                  for s in range(2) for t in range(2))
         mark = "ok" if lhs == A[i][j] else "MISMATCH"
         print(f"  ({i}, {j}): {lhs} vs {A[i][j]}  {mark}")

@@ -549,7 +549,7 @@ def _fibre_suite(cfg):
             # the defining identity B(phi(e_i), phi(e_j)) = g(e_i, e_j) on
             # basis pairs, as Phi B Phi^T = g with rows phi(e_i) of Phi
             n = model.dim
-            phi = [pairing_map(model, metric, e) for e in identity(n)]
+            phi = pairing_map(model, metric, identity(n))
             pulled = (mat_mul(phi, mat_mul(b, transpose(phi))) if b
                       else zeros(n, n))     # a 0-dimensional dual
             verdicts.append(_verdict("dual-metric-defining-identity",

@@ -19,17 +19,17 @@ from fractions import Fraction
 from functools import cached_property
 
 from .linalg import (
+    congruent_diagonal,
     frac_matrix,
     identity,
     inverse,
-    is_psd,
     is_symmetric,
     mat_mul,
     mat_vec,
     nullspace,
+    rref,
     row_space_basis,
     solve,
-    span_equal,
     transpose,
     zeros,
 )
@@ -46,15 +46,10 @@ class DvsModel:
     def __post_init__(self):
         if self.dim <= 0:
             raise ValueError("dimension must be positive")
-        gens = [
-            [Fraction(v) for v in g]
-            for g in self.nonsmooth_generators
-            if any(Fraction(v) != 0 for v in g)
-        ]
-        for g in gens:
-            if len(g) != self.dim:
-                raise ValueError("generator length does not match dimension")
-        basis = row_space_basis(gens) if gens else []
+        gens = frac_matrix(self.nonsmooth_generators)
+        if any(len(g) != self.dim for g in gens):
+            raise ValueError("generator length does not match dimension")
+        basis = row_space_basis(gens) if gens else []  # drops zero rows
         object.__setattr__(self, "nonsmooth_generators",
                            tuple(tuple(v) for v in basis))
 
@@ -116,20 +111,28 @@ def smooth_form_basis(model):
 
 
 def is_pseudo_metric(model, a):
-    """Symmetric, PSD, kernel exactly K; the witness names the first failure."""
+    """Symmetric, PSD, kernel exactly K; the witness names the first failure.
+
+    All of it is read off one congruent diagonal P^T a P = diag(d), P
+    invertible: a is PSD when no d_i is negative, and then its kernel has
+    dimension z, the number of d_i that are 0.  The kernel is K when
+    z = dim K and a k = 0 for each basis vector k of K.
+    """
     a = frac_matrix(a)
     if len(a) != model.dim or any(len(r) != model.dim for r in a):
         raise ValueError("matrix size does not match the fibre dimension")
     if not is_symmetric(a):
         return Verdict(False, witness="not symmetric")
-    if not is_psd(a):
+    _, diag = congruent_diagonal(a)
+    if any(d < 0 for d in diag):
         return Verdict(False, witness="not positive semidefinite")
-    ker = nullspace(a)
-    if not span_equal(ker, model.k_basis):
-        if len(ker) < model.k_dim:
-            return Verdict(False, witness="kernel too small (does not contain K)")
-        if len(ker) > model.k_dim:
-            return Verdict(False, witness="kernel too large (degenerate beyond K)")
+    z = diag.count(0)
+    if z < model.k_dim:
+        return Verdict(False, witness="kernel too small (does not contain K)")
+    if z > model.k_dim:
+        return Verdict(False, witness="kernel too large (degenerate beyond K)")
+    if model.k_dim and any(any(row) for row in
+                           mat_mul(a, transpose(model.k_basis))):
         return Verdict(False, witness="kernel differs from K")
     return Verdict(True)
 
@@ -143,15 +146,26 @@ def characteristic_subspace(model, a):
     return row_space_basis(a)
 
 
-def pairing_map(model, a, v):
-    """Coordinates of a(v, .) with respect to the dual_space basis."""
-    a = frac_matrix(a)
-    cov = [c for c, in mat_mul(a, [[Fraction(x)] for x in v])]
+def pairing_map(model, a, vs):
+    """Rows phi(v), one per vector v of ``vs``: the coordinates of a(v, .)
+    with respect to the dual_space basis.
+
+    With D the dual basis as rows, phi(v) solves D^T x = a v.  D has
+    independent rows, so one elimination of [D^T | a V^T], V the vectors
+    as rows, puts the pivots on the columns of D^T and the solutions, one
+    per column of a V^T, beside them.  A pivot in that right-hand block
+    is an a v outside the smooth dual.
+    """
+    if any(len(v) != model.dim for v in vs):
+        raise ValueError("vector length does not match the fibre dimension")
+    images = mat_mul(frac_matrix(a), transpose(frac_matrix(vs)))
     dual = model._dual
-    coords = solve(transpose(dual), cov) if dual else []
-    if coords is None:
+    d = len(dual)
+    red, pivots = rref([[b[i] for b in dual] + images[i]
+                        for i in range(model.dim)])
+    if pivots and pivots[-1] >= d:
         raise ValueError("pairing image is outside the smooth dual")
-    return coords
+    return [[red[i][d + j] for i in range(d)] for j in range(len(vs))]
 
 
 def dual_metric(model, a):

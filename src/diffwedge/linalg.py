@@ -53,6 +53,8 @@ def mat_mul(a, b):
     floats, are multiplied and summed in the plain loop.
     """
     n, k, m = len(a), len(b), len(b[0])
+    if any(len(row) != k for row in a):
+        raise ValueError("inner dimensions of the product differ")
     if all(isinstance(v, (Fraction, int)) for x in (a, b) for row in x
            for v in row):
         den_a = lcm(*map(_den, a))
@@ -79,16 +81,17 @@ def transpose(a):
     return [list(col) for col in zip(*a)]
 
 
-def rref(m):
-    """Reduced row echelon form; returns (rref matrix, pivot columns).
+def _eliminate(m):
+    """Fraction-free Gauss-Jordan elimination; returns (rows, pivots).
 
-    Fraction-free: each row is scaled to integers by the lcm of its
-    denominators, which leaves the row space, and so the unique RREF and
-    its pivots, unchanged.  Row r eliminates column c from every other row
-    i by row_i <- p row_i - f row_r, with p = row_r[c] and f = row_i[c],
-    and each updated row is divided by the gcd of its entries.  At the
-    end row r is divided by its pivot entry, one ``Fraction`` per entry;
-    the rows past the rank are zero.  Entries must be Fractions or ints.
+    Each row is scaled to integers by the lcm of its denominators, which
+    leaves the row space, and so the unique RREF and its pivots, unchanged.
+    Row r eliminates column c from every other row i by
+    row_i <- p row_i - f row_r, with p = row_r[c] and f = row_i[c], and
+    each updated row is divided by the gcd of its entries.  The result is
+    integer rows whose first len(pivots) rows, each divided by its entry
+    in its pivot column, are the RREF; the rows past the rank are zero.
+    Entries must be Fractions or ints.
     """
     rows = [_primitive(_over(row, _den(row))) for row in m]
     n = len(rows)
@@ -111,35 +114,50 @@ def rref(m):
         r += 1
         if r == n:
             break
+    return rows, pivots
+
+
+def rref(m):
+    """Reduced row echelon form; returns (rref matrix, pivot columns).
+
+    One ``Fraction`` per entry of the ``_eliminate`` rows, each row
+    divided by its pivot entry.
+    """
+    rows, pivots = _eliminate(m)
+    cols = len(rows[0]) if rows else 0
     out = [[Fraction(v, rows[i][c]) for v in rows[i]]
            for i, c in enumerate(pivots)]
     zero = Fraction(0)
-    out += [[zero] * cols for _ in range(n - r)]
+    out += [[zero] * cols for _ in range(len(rows) - len(pivots))]
     return out, pivots
 
 
-def rank(m):
-    if not m:
-        return 0
-    return len(rref(m)[1])
-
-
 def nullspace(m):
-    """Basis of {v : m v = 0}, scaled so the first nonzero entry is 1."""
+    """Basis of {v : m v = 0}, scaled so the first nonzero entry is 1.
+
+    One vector per free column fc of the ``_eliminate`` rows: entry fc is
+    1 and entry pc of pivot row r is -row_r[fc] / row_r[pc].  The first
+    nonzero entry, ln / ld, is the one of the first pivot row with
+    row_r[fc] != 0, or the 1 at fc when there is none; dividing by it
+    gives each nonzero entry as one ``Fraction``.
+    """
     if not m:
         return []
     cols = len(m[0])
-    red, pivots = rref(m)
-    free = [c for c in range(cols) if c not in pivots]
+    rows, pivots = _eliminate(m)
+    zero = Fraction(0)
     basis = []
-    for fc in free:
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        lead = next(x for x in v if x != 0)
-        if lead != 1:
-            v = [x / lead if x else x for x in v]
+    for fc in (c for c in range(cols) if c not in pivots):
+        hits = [(row, pc) for row, pc in zip(rows, pivots) if row[fc]]
+        if hits:
+            row, pc = hits[0]
+            ln, ld = -row[fc], row[pc]
+        else:
+            ln = ld = 1
+        v = [zero] * cols
+        v[fc] = Fraction(ld, ln)
+        for row, pc in hits:
+            v[pc] = Fraction(-row[fc] * ld, row[pc] * ln)
         basis.append(v)
     return basis
 
@@ -170,17 +188,6 @@ def inverse(a):
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return [row[n:] for row in red]
-
-
-def span_equal(basis_a, basis_b):
-    """Do two lists of vectors span the same subspace?"""
-    if not basis_a and not basis_b:
-        return True
-    if not basis_a or not basis_b:
-        return all(all(v == 0 for v in vec) for vec in basis_a + basis_b)
-    ra = rank(basis_a)
-    rb = rank(basis_b)
-    return ra == rb == rank(basis_a + basis_b)
 
 
 def is_symmetric(a):
@@ -247,11 +254,3 @@ def congruent_diagonal(a):
                 g[t][k] = gk[t]
     p = transpose(done)
     return p, diag
-
-
-def is_psd(a):
-    """Exact positive semidefiniteness check for symmetric rational a."""
-    if not is_symmetric(a):
-        return False
-    _, diag = congruent_diagonal(a)
-    return all(d >= 0 for d in diag)

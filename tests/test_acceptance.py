@@ -94,20 +94,16 @@ def test_criterion_02_dual_metric():
     b = dual_metric(THREE_DIM, EXAMPLE_METRIC)
     assert b == [[Fraction(2, 3), Fraction(-1, 3)],
                  [Fraction(-1, 3), Fraction(2, 3)]]
-    # defining identity on all basis pairs, exact
+    # defining identity on all basis pairs, exact; phi[i] = phi(e_i)
+    phi = pairing_map(THREE_DIM, EXAMPLE_METRIC, identity(3))
     for i in range(3):
         for j in range(3):
-            ei = [Fraction(int(t == i)) for t in range(3)]
-            ej = [Fraction(int(t == j)) for t in range(3)]
-            pi = pairing_map(THREE_DIM, EXAMPLE_METRIC, ei)
-            pj = pairing_map(THREE_DIM, EXAMPLE_METRIC, ej)
-            lhs = sum(pi[s] * b[s][t] * pj[t]
+            lhs = sum(phi[i][s] * b[s][t] * phi[j][t]
                       for s in range(2) for t in range(2))
             assert lhs == EXAMPLE_METRIC[i][j]
     # and the commonly quoted alternative fails that identity
     alt = [[Fraction(6, 9), Fraction(5, 9)], [Fraction(5, 9), Fraction(6, 9)]]
-    e1 = [Fraction(1), Fraction(0), Fraction(0)]
-    p1 = pairing_map(THREE_DIM, EXAMPLE_METRIC, e1)
+    p1 = phi[0]
     bad = sum(p1[s] * alt[s][t] * p1[t] for s in range(2) for t in range(2))
     assert bad != EXAMPLE_METRIC[0][0]
     # the shipped report spells the discrepancy out

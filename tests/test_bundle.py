@@ -11,7 +11,7 @@ from diffwedge.bundle import (Section, direct_sum, dual_bundle, emat_block_sum,
                               glue_sections, phi_dual, phi_sum,
                               split_section, tensor_product, trivial_bundle)
 from diffwedge.dvspace import DvsModel, standard_model
-from diffwedge.linalg import frac_matrix, identity, mat_mul, mat_vec, rank, \
+from diffwedge.linalg import frac_matrix, identity, mat_mul, mat_vec, rref, \
     transpose
 from diffwedge.wedge import line
 
@@ -307,7 +307,7 @@ def test_induced_metric_two_case_and_rank():
     assert g.metric_at(("b", 1)) == [[Fraction(2)]]
     # at the glue class: the representative's value, same rank as the legs
     wedge_metric = g.metric_at(("a", 0))
-    assert rank(frac_matrix(wedge_metric)) == 1
+    assert len(rref(frac_matrix(wedge_metric))[1]) == 1
 
 
 def phi_identity_data():

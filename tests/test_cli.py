@@ -545,6 +545,32 @@ def test_dual_metric_validates_the_metric_once(monkeypatch):
     assert calls == Counter(is_pseudo_metric=1)
 
 
+def test_dual_metric_eliminates_six_times(tmp_path, monkeypatch):
+    # one elimination each for K's basis, the dual basis (twice: once for
+    # the report, once cached on the model), the smooth forms, the inverse
+    # in dual_metric and the pairing map of all e_i; the fibre is
+    # perfbench.workloads.fibre_config(random.Random(1), 8, 2)
+    from diffwedge import linalg
+    fibre = {"dim": 8,
+             "nonsmooth": [[-1, 0, 1, 0, 1, 0, 1, 0], [0, 0, 0, -1, 0, 0, 1, 2]],
+             "metric": [[2, 0, 1, -1, 0, 0, 1, -1],
+                        [0, 6, -6, 0, 6, -3, 0, 0],
+                        [1, -6, 10, -1, -10, 3, 1, -1],
+                        [-1, 0, -1, 3, -1, -4, 1, 1],
+                        [0, 6, -10, -1, 13, 1, -3, 1],
+                        [0, -3, 3, -4, 1, 11, -4, 0],
+                        [1, 0, 1, 1, -3, -4, 3, -1],
+                        [-1, 0, -1, 1, 1, 0, -1, 1]]}
+    path = write_cfg(tmp_path, {"fibre": fibre})
+    calls = []
+    real = linalg._eliminate
+    monkeypatch.setattr(linalg, "_eliminate",
+                        lambda m: calls.append(len(m)) or real(m))
+    report, code = run("dual-metric", load_config(path))
+    assert code == 0 and report["failed"] == []
+    assert len(calls) == 6
+
+
 @pytest.mark.parametrize("command", ["clifford-table", "report", "check"])
 def test_metric_that_is_not_a_pseudo_metric_fails_its_verdict(tmp_path, capsys,
                                                               command):

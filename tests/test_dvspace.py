@@ -12,12 +12,14 @@ from diffwedge.dvspace import (DvsModel, apply_form, characteristic_subspace,
                                check_map_compatibility, dual_map, dual_metric,
                                dual_space, is_pseudo_metric, pairing_map,
                                smooth_form_basis, standard_model)
-from diffwedge.linalg import (congruent_diagonal, frac_matrix, inverse, is_psd,
-                              mat_mul, mat_vec, nullspace, rank, span_equal,
-                              transpose)
+from diffwedge.linalg import (congruent_diagonal, frac_matrix, identity,
+                              inverse, is_symmetric, mat_mul, mat_vec,
+                              nullspace, rref, solve, transpose)
+from diffwedge.symexpr import Verdict
 
 M3 = DvsModel(3, ((0, 1, 1),))
 A3 = frac_matrix([[2, 1, -1], [1, 2, -2], [-1, -2, 2]])
+K3 = DvsModel(3, ((0, 0, 1),))
 
 
 def test_dual_basis_worked_example():
@@ -85,35 +87,109 @@ def test_is_pseudo_metric_failures():
 
 
 def test_is_pseudo_metric_kernel_other_than_k():
-    k3 = DvsModel(3, ((0, 0, 1),))
-    v = is_pseudo_metric(k3, [[1, 0, 0], [0, 0, 0], [0, 0, 0]])
+    v = is_pseudo_metric(K3, [[1, 0, 0], [0, 0, 0], [0, 0, 0]])
     assert not v.ok and v.witness == "kernel too large (degenerate beyond K)"
-    v = is_pseudo_metric(k3, [[1, 0, 0], [0, 0, 0], [0, 0, 1]])
+    v = is_pseudo_metric(K3, [[1, 0, 0], [0, 0, 0], [0, 0, 1]])
     assert not v.ok and v.witness == "kernel differs from K"
+
+
+def _rank(m):
+    return len(rref(m)[1]) if m else 0
+
+
+def _span_equal(basis_a, basis_b):
+    """The span test is_pseudo_metric used before it read the kernel off
+    the congruent diagonal."""
+    if not basis_a and not basis_b:
+        return True
+    if not basis_a or not basis_b:
+        return all(all(v == 0 for v in vec) for vec in basis_a + basis_b)
+    ra = _rank(basis_a)
+    rb = _rank(basis_b)
+    return ra == rb == _rank(basis_a + basis_b)
+
+
+def _is_pseudo_metric_by_nullspace(model, a):
+    """The is_pseudo_metric that compared nullspace(a) with K by rank."""
+    a = frac_matrix(a)
+    if not is_symmetric(a):
+        return Verdict(False, witness="not symmetric")
+    if any(d < 0 for d in congruent_diagonal(a)[1]):
+        return Verdict(False, witness="not positive semidefinite")
+    ker = nullspace(a)
+    if not _span_equal(ker, model.k_basis):
+        if len(ker) < model.k_dim:
+            return Verdict(False, witness="kernel too small (does not contain K)")
+        if len(ker) > model.k_dim:
+            return Verdict(False, witness="kernel too large (degenerate beyond K)")
+        return Verdict(False, witness="kernel differs from K")
+    return Verdict(True)
+
+
+@st.composite
+def _model_and_form(draw):
+    """A fibre of dim <= 4 and a matrix on it: a Gram matrix B^T B, whose
+    kernel may be smaller than, larger than, or other than K, or a
+    symmetric matrix, PSD or not, or one that is not symmetric."""
+    n = draw(st.integers(1, 4))
+    small = st.integers(-2, 2)
+    gens = draw(st.lists(st.lists(small, min_size=n, max_size=n), max_size=n))
+    model = DvsModel(n, tuple(map(tuple, gens)))
+    family = draw(st.sampled_from(["gram", "symmetric", "any"]))
+    if family == "gram":
+        b = [[draw(small) for _ in range(n)] for _ in range(draw(st.integers(0, n)))]
+        return model, mat_mul(transpose(b), b) if b else frac_matrix([[0] * n] * n)
+    a = [[Fraction(draw(small)) for _ in range(n)] for _ in range(n)]
+    if family == "symmetric":
+        a = [[a[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    return model, a
+
+
+@given(_model_and_form())
+@example((M3, A3))
+@example((standard_model(2), frac_matrix([[1, 2], [3, 4]])))
+@example((standard_model(2), frac_matrix([[1, 0], [0, -1]])))
+@example((M3, identity(3)))
+@example((K3, frac_matrix([[1, 0, 0], [0, 0, 0], [0, 0, 0]])))
+@example((K3, frac_matrix([[1, 0, 0], [0, 0, 0], [0, 0, 1]])))
+def test_is_pseudo_metric_matches_the_nullspace_oracle(case):
+    model, a = case
+    assert is_pseudo_metric(model, a) == _is_pseudo_metric_by_nullspace(model, a)
 
 
 def test_model_rejects_bad_shapes():
     with pytest.raises(ValueError, match="^dimension must be positive$"):
         DvsModel(0)
-    with pytest.raises(ValueError, match="^generator length does not match "
-                                         "dimension$"):
-        DvsModel(2, ((1, 0, 0),))
+    # a zero generator of the wrong length is refused, not dropped
+    for dim, gens in ((2, ((1, 0, 0),)), (3, ((0, 0),)),
+                      (3, ((0, 1, 1), (0, 0, 0, 0)))):
+        with pytest.raises(ValueError, match="^generator length does not "
+                                             "match dimension$"):
+            DvsModel(dim, gens)
 
 
 def test_characteristic_subspace():
     v0 = characteristic_subspace(M3, A3)
     assert len(v0) == 2
     # complements K: together they span everything
-    assert rank(v0 + M3.k_basis) == 3
+    assert len(rref(v0 + M3.k_basis)[1]) == 3
     assert characteristic_subspace(
         DvsModel(2, ((0, 1),)), [[4, 0], [0, 0]]) == [frac_matrix([[1, 0]])[0]]
 
 
 def test_pairing_map_worked_example():
-    assert pairing_map(M3, A3, [1, 0, 0]) == [Fraction(2), Fraction(1)]
-    assert pairing_map(M3, A3, [0, 1, 1]) == [Fraction(0), Fraction(0)]
+    assert pairing_map(M3, A3, [[1, 0, 0], [0, 1, 1]]) == [
+        [Fraction(2), Fraction(1)], [Fraction(0), Fraction(0)]]
     std = standard_model(2)
-    assert pairing_map(std, [[1, 0], [0, 1]], [3, 5]) == [3, 5]
+    assert pairing_map(std, [[1, 0], [0, 1]], [[3, 5]]) == [[3, 5]]
+
+
+def test_pairing_map_refuses_a_vector_of_the_wrong_length():
+    # refused, not truncated or padded to the answer for (1, 0, 0)
+    for v in ([1, 0], [1, 0, 0, 5]):
+        with pytest.raises(ValueError, match="^vector length does not match "
+                                             "the fibre dimension$"):
+            pairing_map(M3, A3, [[0, 1, 1], v])
 
 
 def test_dual_metric_worked_example():
@@ -129,13 +205,10 @@ def test_dual_metric_defining_identity():
                      (DvsModel(2, ((0, 1),)), frac_matrix([[4, 0], [0, 0]]))]:
         b = dual_metric(model, g)
         n = model.dim
+        phi = pairing_map(model, g, identity(n))
         for i in range(n):
             for j in range(n):
-                ei = [Fraction(int(i == t)) for t in range(n)]
-                ej = [Fraction(int(j == t)) for t in range(n)]
-                lhs = apply_form(b, pairing_map(model, g, ei),
-                                 pairing_map(model, g, ej))
-                assert lhs == g[i][j]
+                assert apply_form(b, phi[i], phi[j]) == g[i][j]
 
 
 def _dual_metric_by_pairing(model, a):
@@ -144,7 +217,7 @@ def _dual_metric_by_pairing(model, a):
     v0 = characteristic_subspace(model, a)
     if not v0:
         return []
-    p = transpose([pairing_map(model, a, v) for v in v0])
+    p = transpose(pairing_map(model, a, v0))
     g = mat_mul(v0, mat_mul(a, transpose(v0)))
     p_inv = inverse(p)
     return mat_mul(transpose(p_inv), mat_mul(g, p_inv))
@@ -174,11 +247,49 @@ def test_dual_metric_matches_the_pairing_oracle(case):
     assert dual_metric(model, a) == _dual_metric_by_pairing(model, a)
 
 
+def _pairing_by_solve(model, a, v):
+    """phi(v) as pairing_map found it before it took many vectors: one
+    solve of D^T x = a v per vector; None when a v is outside the smooth
+    dual, which a 0-dimensional dual leaves only to a v = 0."""
+    cov = mat_vec(frac_matrix(a), frac_matrix([v])[0])
+    dual = dual_space(model)
+    if not dual:
+        return None if any(cov) else []
+    return solve(transpose(dual), cov)
+
+
+@st.composite
+def _pairing_case(draw):
+    """A fibre, a pseudo-metric or any matrix on it, and vectors to pair."""
+    model, a = draw(st.one_of(_fibre_metric(), _model_and_form()))
+    entry = st.sampled_from([0, 0, 1, -1, 2, Fraction(1, 2)])
+    vs = draw(st.lists(st.lists(entry, min_size=model.dim,
+                                max_size=model.dim),
+                       min_size=1, max_size=model.dim + 1))
+    return model, a, vs
+
+
+@given(_pairing_case())
+@example((M3, A3, identity(3)))
+@example((M3, identity(3), [[0, 1, 1]]))
+@example((DvsModel(2, ((1, 0), (0, 1))), frac_matrix([[0, 0], [0, 1]]),
+          [[1, 0], [0, 1]]))
+def test_pairing_map_matches_per_vector_solve(case):
+    model, a, vs = case
+    want = [_pairing_by_solve(model, a, v) for v in vs]
+    if None in want:
+        with pytest.raises(ValueError, match="^pairing image is outside "
+                                             "the smooth dual$"):
+            pairing_map(model, a, vs)
+    else:
+        assert pairing_map(model, a, vs) == want
+
+
 def test_defining_identity_fails_on_a_wrong_pairing_map(monkeypatch):
     # B no longer comes from pairing_map, so a pairing map off by 2 breaks
     # B(phi(u), phi(v)) = g(u, v) instead of cancelling out of it
-    def doubled(model, a, v, _pair=pairing_map):
-        return [2 * c for c in _pair(model, a, v)]
+    def doubled(model, a, vs, _pair=pairing_map):
+        return [[2 * c for c in row] for row in _pair(model, a, vs)]
 
     monkeypatch.setattr(dvspace, "pairing_map", doubled)
     monkeypatch.setattr(cli, "pairing_map", doubled)
@@ -241,9 +352,7 @@ def test_dual_dim_plus_k_dim(n, gens):
 
 
 def test_pairing_kernel_is_k():
-    ker = [v for v in M3.k_basis]
-    for k in ker:
-        assert pairing_map(M3, A3, k) == [0, 0]
+    assert pairing_map(M3, A3, M3.k_basis) == [[0, 0]]
 
 
 def test_characteristic_decomposition():
@@ -266,7 +375,8 @@ def test_nullspace_against_sympy():
         assert len(ours) == len(theirs)
         sp = [[Fraction(str(v)) for v in vec] for vec in
               (list(t) for t in theirs)]
-        assert span_equal(ours, sp)
+        # equally many vectors span one space when their RREFs agree
+        assert rref(ours) == rref(sp)
 
 
 def test_congruent_diagonal_property():
@@ -351,11 +461,13 @@ def test_congruent_diagonal_matches_the_form_oracle(a):
         [d[i] if i == j else Fraction(0) for j in range(n)] for i in range(n)]
 
 
-def test_is_psd_against_sympy():
+def test_congruent_diagonal_signs_against_sympy():
+    # PSD exactly when no entry of the congruent diagonal is negative
     mats = [([[2, 1], [1, 2]], True), ([[1, 2], [2, 1]], False),
             ([[0, 0], [0, 0]], True), ([[0, 1], [1, 0]], False)]
     for m, want in mats:
-        assert is_psd(frac_matrix(m)) is want
+        _, d = congruent_diagonal(frac_matrix(m))
+        assert all(x >= 0 for x in d) is want
         assert sympy.Matrix(m).is_positive_semidefinite is want
 
 

@@ -42,7 +42,7 @@ GOLDEN = [
 # code, sha256 of stdout).  FIBRE_10 is perfbench.workloads.fibre_config(
 # random.Random(10), 10, 2).  A pseudo-metric is PSD, so its Schur
 # complements never need the pair pivot; the indefinite zero-diagonal
-# metric reaches it through is_psd, and fails the pseudo-metric verdict.
+# metric reaches it through is_pseudo_metric, and fails that verdict.
 FIBRE_10 = {
     "dim": 10,
     "nonsmooth": [[0, 0, 1, 0, 0, -1, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, -1, 0, 1]],
@@ -113,6 +113,30 @@ FIBRE_7 = {
                [-1, -4, -3, 0, 4, 1, -1],
                [-6, -12, 0, 6, 1, 9, -1],
                [1, 1, 0, 0, -1, -1, 1]]}
+# FIBRE_16 is fibre_config(random.Random(16), 16, 3), pinned before the
+# pairing map took all e_i in one elimination and is_pseudo_metric read
+# the kernel off the congruent diagonal.
+FIBRE_16 = {
+    "dim": 16,
+    "nonsmooth": [[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0],
+                  [-1, 1, 0, 0, 0, 0, 0, 0, -1, 0, 0, 0, -1, 0, 2, 0],
+                  [1, 0, -1, 0, -1, 0, 0, 0, 0, 1, 1, 1, 0, 0, -1, 1]],
+    "metric": [[23, 1, 1, 1, 13, -3, 1, 24, -2, -1, 0, 0, 0, 0, 10, 2],
+               [1, 5, 0, 1, 5, 0, 2, 0, -3, -2, 0, 0, -1, 0, -4, 2],
+               [1, 0, 1, 1, 1, 1, 0, 0, -1, 0, 0, 0, 0, 0, 0, 1],
+               [1, 1, 1, 11, 4, 1, -2, 0, -5, 2, 0, 2, 1, 0, -2, -2],
+               [13, 5, 1, 4, 13, -1, 2, 13, -5, -2, 0, 1, -1, 0, 1, 3],
+               [-3, 0, 1, 1, -1, 6, 0, -6, -1, 0, 0, 0, 0, 0, -2, 1],
+               [1, 2, 0, -2, 2, 0, 5, 0, 0, -2, 0, 0, -1, 0, -1, 2],
+               [24, 0, 0, 0, 13, -6, 0, 37, 0, 0, 3, 2, 0, 0, 12, -4],
+               [-2, -3, -1, -5, -5, -1, 0, 0, 5, 0, 0, 0, 0, 0, 3, -1],
+               [-1, -2, 0, 2, -2, 0, -2, 0, 0, 2, 0, 0, 1, 0, 1, -2],
+               [0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 3, 0, 0, 0, 0, -3],
+               [0, 0, 0, 2, 1, 0, 0, 2, 0, 0, 0, 2, 0, 0, 0, -1],
+               [0, -1, 0, 1, -1, 0, -1, 0, 0, 1, 0, 0, 1, 0, 1, -1],
+               [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+               [10, -4, 0, -2, 1, -2, -1, 12, 3, 1, 0, 0, 1, 0, 9, -1],
+               [2, 2, 1, -2, 3, 1, 2, -4, -1, -2, -3, -1, -1, 0, -1, 7]]}
 INLINE = [
     ("dual-metric-dim10", "dual-metric", FIBRE_10, 0,
      "bac3a97f62851168e7cfcdc59e145c9fc3a4f59548dd926eee1be05e664a4b53"),
@@ -122,6 +146,8 @@ INLINE = [
      "eedad2c7d188712bccbf3f50797d3698bc21197a99b6735778a521b1fd0676da"),
     ("dual-metric-dim24", "dual-metric", FIBRE_24, 0,
      "f878fccdd0dd8b7c9aaf139169c046a188883863ada68fd304b0907a7ff9dc51"),
+    ("dual-metric-dim16", "dual-metric", FIBRE_16, 0,
+     "e0e8fd1a50a2a9de4272aaefab83f4ece2ba733b8062a592cf4262f6ed073745"),
     # the zero-diagonal direction e1 is skipped as a pivot and comes last
     ("clifford-table-kernel-first", "clifford-table",
      {"dim": 4, "nonsmooth": [[1, 0, 0, 0]],

@@ -4,7 +4,9 @@ from fractions import Fraction
 
 from hypothesis import example, given, strategies as st
 
-from diffwedge.linalg import frac_matrix, mat_mul, rref, zeros
+import pytest
+
+from diffwedge.linalg import frac_matrix, mat_mul, nullspace, rref, zeros
 
 
 def _rref_by_fractions(m):
@@ -57,12 +59,16 @@ RATIONAL = st.one_of(SMALL.map(Fraction), FINITE.map(Fraction))
 @st.composite
 def _matrices(draw):
     """Wide, tall and empty matrices, some with a zero row and a row that
-    is the sum of two others."""
+    is the sum of two others, some with a zero column."""
     rows, cols = draw(st.integers(0, 6)), draw(st.integers(1, 7))
     m = [[draw(RATIONAL) for _ in range(cols)] for _ in range(rows)]
     if m and draw(st.booleans()):
         m.append([x + y for x, y in zip(m[0], m[-1])])
         m.insert(draw(st.integers(0, len(m))), [Fraction(0)] * cols)
+    if draw(st.booleans()):
+        c = draw(st.integers(0, cols - 1))
+        for row in m:
+            row[c] = Fraction(0)
     return m
 
 
@@ -75,6 +81,40 @@ def test_rref_matches_the_fraction_oracle(m):
     red, pivots = rref(m)
     assert (red, pivots) == _rref_by_fractions(m)
     assert all(type(v) is Fraction for row in red for v in row)
+
+
+def _nullspace_by_fractions(m):
+    """The nullspace built on the Fraction RREF, which the one on the
+    integer rows of the elimination replaced."""
+    if not m:
+        return []
+    cols = len(m[0])
+    red, pivots = _rref_by_fractions(m)
+    free = [c for c in range(cols) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = [Fraction(0)] * cols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][fc]
+        lead = next(x for x in v if x != 0)
+        if lead != 1:
+            v = [x / lead if x else x for x in v]
+        basis.append(v)
+    return basis
+
+
+@given(_matrices())
+@example([])
+@example([[Fraction(0)] * 3] * 2)
+@example([[Fraction(0), Fraction(2), Fraction(-3, 4)],
+          [Fraction(0), Fraction(1, 2), Fraction(5)]])
+@example([[Fraction(1), Fraction(-1, 3), Fraction(2), Fraction(0)],
+          [Fraction(2), Fraction(-2, 3), Fraction(7), Fraction(1)]])
+def test_nullspace_matches_the_fraction_oracle(m):
+    got = nullspace(m)
+    assert repr(got) == repr(_nullspace_by_fractions(m))
+    assert all(type(v) is Fraction for vec in got for v in vec)
 
 
 @st.composite
@@ -98,6 +138,17 @@ def test_mat_mul_matches_the_loop(ab):
     assert got == want
     assert [[type(v) for v in row] for row in got] == \
         [[type(v) for v in row] for row in want]
+
+
+@pytest.mark.parametrize("a,b", [([[1, 2], [3, 4]], [[1]]),
+                                 ([[1.5, 2], [3, 4]], [[1]]),
+                                 ([[1]], [[1, 2], [3, 4]]),
+                                 ([[1, 2], [3]], [[1], [2]])])
+def test_mat_mul_refuses_inner_dimensions_that_differ(a, b):
+    # both paths used to truncate to the shorter inner dimension
+    with pytest.raises(ValueError, match="^inner dimensions of the "
+                                         "product differ$"):
+        mat_mul(a, b)
 
 
 def test_frac_matrix_keeps_fractions_and_copies_rows():
