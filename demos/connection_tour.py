@@ -35,21 +35,21 @@ pts = {"a": grid, "b": grid}
 
 trials = [({c: poly() for c in ("a", "b")},
            {c: [poly()] for c in ("a", "b")}) for _ in range(5)]
-v = check_leibniz(lc, trials, pts, 1e-10)
+v = check_leibniz(lc, trials, pts)
 print(f"Leibniz rule: {'ok' if v.ok else 'FAILED'} (worst {v.residual:.3g})")
 
 pairs = [({c: [poly()] for c in ("a", "b")},
           {c: [poly()] for c in ("a", "b")}) for _ in range(3)]
-v = check_metric_compatibility(lc, pairs, pts, 1e-10)
+v = check_metric_compatibility(lc, pairs, pts)
 print(f"metric compatibility: {'ok' if v.ok else 'FAILED'} "
       f"(worst {v.residual:.3g})")
 
 fields = [{c: poly() for c in ("a", "b")} for _ in range(3)]
-v = is_symmetric_connection(dual_connection(lc), fields, pts, 1e-10)
+v = is_symmetric_connection(dual_connection(lc), fields, pts)
 print("torsion-free:", "ok" if v.ok else "FAILED")
 
 triples = [tuple({c: poly() for c in ("a", "b")} for _ in range(3))
            for _ in range(10)]
-v = koszul_check(lam, triples, pts, 1e-9)
+v = koszul_check(lam, triples, pts)
 print(f"six-term bracket formula: {'ok' if v.ok else 'FAILED'} "
       f"(worst {v.residual:.3g})")

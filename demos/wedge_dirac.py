@@ -38,7 +38,7 @@ for p in [("a", Fraction(-1)), ("a", Fraction(0)), ("b", Fraction(1))]:
 points = [("a", Fraction(i, 3)) for i in range(-6, 7) if i != 0]
 points += [("b", Fraction(i, 3)) for i in range(1, 7)]
 points.append(("a", Fraction(0)))
-v = verify_splitting(d, s1, s2, points, 1e-10)
+v = verify_splitting(d, s1, s2, points)
 print(f"\nsplitting over the legs at {len(points)} points:",
       "ok" if v.ok else "FAILED", f"(worst residual {v.residual:.3g})")
 

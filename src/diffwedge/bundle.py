@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import symexpr
-from .symexpr import Const, Expr, ZERO, ONE, simplify
+from .symexpr import TOL, Const, Expr, ZERO, ONE, compare, simplify
 from .dvspace import DvsModel, check_map_compatibility, dual_metric, standard_model
 from .linalg import frac_matrix, identity, inverse, mat_vec, transpose
 from .wedge import Gluing, WedgeComplex, _as_point, glue_complexes, \
@@ -226,7 +226,7 @@ def _check_section(s):
             if p == rep:
                 continue
             pushed = mat_vec(b.glue_map(i, p), s.chart_value(p[0], p[1]))
-            if any(abs(u - v) > 1e-12 for u, v in zip(pushed, target)):
+            if not all(compare(u, v, TOL)[1] for u, v in zip(pushed, target)):
                 raise ValueError(
                     f"section incompatible at glue point {p}: "
                     f"{pushed} != {target}")

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import symexpr
-from .symexpr import ZERO, Verdict, max_residuals, simplify
+from .symexpr import TOL, ZERO, Verdict, max_residuals, simplify
 from .bundle import PseudoBundle, as_expr, emat_block_sum, emat_kron, \
     eval_vector
 from .forms import OneFormBundle
@@ -123,12 +123,12 @@ def _chartwise(groups, points, tol):
     """Verdict on (chart id, [(lhs, rhs), ...]) ``groups`` sampled at their
     chart's points, each chart's sides in one pass per point; the witness
     is the chart and point of the worst."""
-    worst = max_residuals(groups, points)
-    return Verdict.within(tol, ((r, f"chart {cid}, x = {x}")
-                                for (cid, _), (r, x) in zip(groups, worst)))
+    worst = max_residuals(groups, points, tol)
+    return Verdict.fold(((r, ok), f"chart {cid}, x = {x}")
+                        for (cid, _), (r, x, ok) in zip(groups, worst))
 
 
-def is_symmetric_connection(conn_fields, fields, points, tol=1e-10):
+def is_symmetric_connection(conn_fields, fields, points, tol=TOL):
     """All sampled torsion values below tolerance, for all field pairs."""
     return _chartwise([(cid, [(e, ZERO)]) for t1 in fields for t2 in fields
                        for cid, e in torsion(conn_fields, t1, t2).items()],
@@ -169,7 +169,7 @@ def _chart_metric(conn, cid):
     return b.metrics[cid]
 
 
-def check_metric_compatibility(conn, pairs, points, tol=1e-10):
+def check_metric_compatibility(conn, pairs, points, tol=TOL):
     """d(g(s,t)) = g(nabla s, t) + g(s, nabla t) at the sampled points.
 
     ``pairs`` is a list of (s_components, t_components); the verdict's
@@ -197,7 +197,7 @@ def check_metric_compatibility(conn, pairs, points, tol=1e-10):
     return _chartwise(groups, points, tol)
 
 
-def check_leibniz(conn, trials, points, tol=1e-10):
+def check_leibniz(conn, trials, points, tol=TOL):
     """nabla(f s) = df tensor s + f nabla s for the given (f, s) trials."""
     groups = []
     for f, s in trials:
@@ -213,7 +213,7 @@ def check_leibniz(conn, trials, points, tol=1e-10):
     return _chartwise(groups, points, tol)
 
 
-def koszul_check(lam, triples, points, tol=1e-9):
+def koszul_check(lam, triples, points, tol=TOL):
     """Both sides of the six-term formula for the metric connection.
 
     Vector fields with the dual metric 1/h; the left side is twice the

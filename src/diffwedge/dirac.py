@@ -13,9 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .symexpr import ZERO, ONE, Verdict, evaluate_all, simplify
+from .symexpr import TOL, ZERO, ONE, Verdict, compare, evaluate_all, simplify
 from .bundle import PseudoBundle, as_expr, eval_vector, glue_bundles, \
     trivial_bundle
+from .clifford import build_algebra, cl_mul
 from .connection import Connection, _chartwise, _nabla, \
     connection_value_at, glue_connections, levi_civita
 from .dvspace import apply_form, standard_model
@@ -74,12 +75,13 @@ def _leg_module(lam):
     return trivial_bundle(lam.base, fibres, metrics)
 
 
-def check_action_compatibility(module):
+def check_action_compatibility(module, tol=TOL):
     """Equivariance of the leg actions through the paired glue maps.
 
     For each glue class and each paired one-form (dx, a dy) the identity
-    c2(a dy) o f' = f' o c1(dx) must hold on the module basis; a failed
-    verdict's witness shows both sides at the first failing glue point.
+    c2(a dy) o f' = f' o c1(dx) must hold on the module basis within
+    ``tol``; a failed verdict's witness shows both sides at the first
+    failing glue point.
     """
     bundle = module.bundle
     for i, cls in enumerate(bundle.base.glue_classes):
@@ -93,8 +95,8 @@ def check_action_compatibility(module):
             c2 = module.action_matrix(rep[0], rep[1], a)
             lhs = mat_mul(c2, fpr)
             rhs = mat_mul(fpr, c1)
-            if any(abs(u - v) > 1e-12 for ru, rv in zip(lhs, rhs)
-                   for u, v in zip(ru, rv)):
+            if not all(compare(u, v, tol)[1] for ru, rv in zip(lhs, rhs)
+                       for u, v in zip(ru, rv)):
                 return Verdict(False, witness=f"glue point {p}: c2(a dy) f' "
                                               f"= {lhs} but f' c1(dx) = {rhs}")
     return Verdict(True)
@@ -112,12 +114,16 @@ def induced_action(module, class_index, lam_value, e):
     return mat_vec(module.action_matrix(rep[0], rep[1], alpha), e)
 
 
-def check_algebra_morphism(module, glue_point):
+def _rank1_mul(h, u, v):
+    """(z1, w1)(z2, w2) as (z1 + w1 e)(z2 + w2 e) with e^2 = -h."""
+    return (u[0] * v[0] - h * u[1] * v[1], u[0] * v[1] + u[1] * v[0])
+
+
+def check_algebra_morphism(module, glue_point, tol=TOL):
     """Does the extended map preserve Clifford products of the glue fibres?
 
-    Products taken in the rank-1 algebras with forms h1 and h2 at the
-    glue coordinates: (z1 + w1 e)(z2 + w2 e) = z1z2 - h w1w2 + (z1w2 +
-    z2w1) e.
+    Products are taken by ``_rank1_mul`` in the rank-1 algebras with forms
+    h1 and h2 at the glue coordinates, and compared within ``tol``.
     """
     p = _as_point(glue_point)
     i = module.bundle.base.class_of(p)
@@ -126,44 +132,60 @@ def check_algebra_morphism(module, glue_point):
     h1 = module.lam.h_at(p[0], p[1])
     h2 = module.lam.h_at(rep[0], rep[1])
 
-    def mul(h, u, v):
-        return (u[0] * v[0] - h * u[1] * v[1], u[0] * v[1] + u[1] * v[0])
-
     basis = [(1, 0), (0, 1), (1, 1), (2, -3)]
     for u in basis:
         for v in basis:
             fu = (u[0], a * u[1])
             fv = (v[0], a * v[1])
-            lhs = mul(h2, fu, fv)
-            prod = mul(h1, u, v)
+            lhs = _rank1_mul(h2, fu, fv)
+            prod = _rank1_mul(h1, u, v)
             rhs = (prod[0], a * prod[1])
-            if any(abs(l - r) > 1e-12 for l, r in zip(lhs, rhs)):
-                return Verdict(False, witness=f"products differ on {u}, {v}: "
-                                              f"{lhs} != {rhs}")
+            if not all(compare(l, r, tol)[1] for l, r in zip(lhs, rhs)):
+                return Verdict(False, witness="products differ on %s, %s: "
+                               "(%s, %s) != (%s, %s)" % (u, v, *lhs, *rhs))
     return Verdict(True)
 
 
-def check_unitarity(module, points_per_chart, tol=1e-10):
+def check_clifford_product(module, cid, tol=TOL):
+    """``cl_mul`` of the rank-1 Clifford algebra of h (a float h rounded to
+    a denominator <= 10^15) against ``_rank1_mul`` at four points of chart
+    ``cid``; an ``ArithmeticError`` names x and carries ``cid`` as ``key``."""
+    samples = []
+    for x in (Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(2)):
+        h = module.lam.h_at(cid, x)
+        try:
+            q = h if type(h) is Fraction else Fraction(h).limit_denominator(10**15)
+            alg = build_algebra(standard_model(1), [[q]])
+            for u, v in [((2, 1), (-1, 3)), ((1, 0), (1, 0)), ((0, 2), (3, 0))]:
+                prod = cl_mul(alg, dict(enumerate(u)), dict(enumerate(v)))
+                want = _rank1_mul(h, u, v)     # masks 0 and 1 of cl_mul
+                samples += [(compare(prod.get(k, 0), want[k], tol), f"x = {x}")
+                            for k in (0, 1)]
+        except ArithmeticError as exc:
+            err = type(exc)(f"{exc} at x={x}")
+            err.key = cid
+            raise err from None
+    return Verdict.fold(samples)
+
+
+def check_unitarity(module, points_per_chart, tol=TOL):
     """g_E(c(alpha)e, c(alpha)e') = g_E(e, e') for unit one-forms alpha.
 
     On charts alpha = dx / sqrt(h); at glue fibres alpha is the paired
     unit form (components related by the glue scale, normalized in the
-    weighted glue metric).  The sides are floats, so each sample passes
-    within ``tol`` times the largest entry max(1, |h|) of its g_E; the
-    residual is the worst absolute difference.  A chart's h that has no
-    float, or whose float is 0.0, raises an ``ArithmeticError`` that names
-    x and carries the chart id as ``key``.
+    weighted glue metric).  The sides are floats, compared within ``tol``.
+    A chart's h that has no float, or whose float is 0.0, raises an
+    ``ArithmeticError`` that names x and carries the chart id as ``key``.
     """
     basis = [[1, 0], [0, 1], [1, 1]]
 
-    samples = []       # (|difference|, where, bound)
+    samples = []       # ((residual, agree), where)
 
     def gram(act, h, at):
-        # |g_E(c e1, c e2) - g_E(e1, e2)| over the basis pairs
+        # g_E(c e1, c e2) against g_E(e1, e2) over the basis pairs
         g_e = [[1, 0], [0, h]]
-        bound = tol * max(1, abs(float(h)))
-        samples.extend((abs(float(apply_form(g_e, act(e1), act(e2))
-                                  - apply_form(g_e, e1, e2))), at, bound)
+        samples.extend((compare(apply_form(g_e, act(e1), act(e2)),
+                                apply_form(g_e, e1, e2), tol), at)
                        for e1 in basis for e2 in basis)
 
     for cid, pts in points_per_chart.items():
@@ -190,9 +212,7 @@ def check_unitarity(module, points_per_chart, tol=1e-10):
         value = {br: comp[br] / norm for br in branches}
         gram(lambda e: induced_action(module, i, value, e),
              module.lam.h_at(rep[0], rep[1]), f"glue class {i}")
-    worst = Verdict.within(tol, [(r, at) for r, at, _ in samples])
-    return Verdict(all(r <= bound for r, _, bound in samples), worst.residual,
-                   worst.witness)
+    return Verdict.fold(samples)
 
 
 def clifford_connection(module):
@@ -215,7 +235,7 @@ def _act(h, u, w, al=None):
 
 
 def check_clifford_connection(module, conn_e, lam_conn, batteries, points,
-                              tol=1e-9):
+                              tol=TOL):
     """The derivation identity of the module connection against the action.
 
     For each (t, alpha, r) in ``batteries`` (vector field coefficient,
@@ -349,7 +369,7 @@ def glue_dirac(d1, d2, module):
     return DiracOperator(module, conn)
 
 
-def verify_splitting(d, s1_comps, s2_comps, points, tol=1e-10):
+def verify_splitting(d, s1_comps, s2_comps, points, tol=TOL):
     """Glued-operator value versus glued leg values at the given points.
 
     Both sides are representative-fibre values; at glue classes the
@@ -370,6 +390,6 @@ def verify_splitting(d, s1_comps, s2_comps, points, tol=1e-10):
         ks = [k for k, q in enumerate(qs) if q[0] == cid]
         for k, v in zip(ks, evaluate_all(legs, [qs[k][1] for k in ks])):
             rhs[k] = v
-    return Verdict.within(tol, [(abs(float(l - r)), f"chart {p[0]}, x = {p[1]}")
+    return Verdict.within(tol, [(l, r, f"chart {p[0]}, x = {p[1]}")
                                 for p, ls, rs in zip(pts, lhs, rhs)
                                 for l, r in zip(ls, rs)])

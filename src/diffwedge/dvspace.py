@@ -9,11 +9,12 @@ k in K.  Consequences used throughout:
 * a pseudo-metric is such an A that is moreover positive semidefinite
   with kernel exactly K (so its rank is the dual dimension).
 
-All verdicts here are exact (rational arithmetic).
+All verdicts here are exact on rational input (rational arithmetic).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -33,7 +34,7 @@ from .linalg import (
     transpose,
     zeros,
 )
-from .symexpr import Verdict
+from .symexpr import TOL, Verdict, compare
 
 
 @dataclass(frozen=True)
@@ -197,20 +198,17 @@ def apply_form(a, u, v):
 def check_map_compatibility(model1, g1, model2, g2, f):
     """Is g1(u, v) = g2(F u, F v)?  The witness names the first entry off.
 
-    Exact on rational input, within 1e-12 when any entry is a float.
+    Entries compare by ``symexpr.compare`` within ``TOL``; a float entry
+    stays a float, and one that is not finite raises as ``Fraction(v)`` does.
     """
-    floats = any(isinstance(x, float) for m in (g1, g2, f)
-                 for row in m for x in row)
-    tol = 1e-12 if floats else 0
-    g1 = frac_matrix(g1)
-    g2 = frac_matrix(g2)
-    f = frac_matrix(f)
+    g1, g2, f = ([[v if type(v) is float and math.isfinite(v) else Fraction(v)
+                   for v in row] for row in m] for m in (g1, g2, f))
     if len(f) != model2.dim or len(f[0]) != model1.dim:
         raise ValueError("map shape does not match the fibre dimensions")
     pulled = mat_mul(transpose(f), mat_mul(g2, f))
     n = model1.dim
     bad = [(i, j) for i in range(n) for j in range(n)
-           if abs(pulled[i][j] - g1[i][j]) > tol]
+           if not compare(pulled[i][j], g1[i][j], TOL)[1]]
     if not bad:
         return Verdict(True)
     i, j = bad[0]

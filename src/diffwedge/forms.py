@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import symexpr
-from .symexpr import Verdict, simplify
+from .symexpr import TOL, Verdict, compare, simplify
 from .bundle import as_expr
 from .wedge import Gluing, WedgeComplex, branches_at
 
@@ -67,7 +67,7 @@ def differential(base, funcs):
     fs = {c: as_expr(e) for c, e in funcs.items()}
     for cls in base.glue_classes:
         vals = [symexpr.evaluate(fs[cid], x) for cid, x in cls]
-        if any(abs(v - vals[0]) > 1e-12 for v in vals[1:]):
+        if not all(compare(v, vals[0], TOL)[1] for v in vals[1:]):
             raise ValueError(f"function values disagree on glue class {cls}")
     return {c: simplify(symexpr.differentiate(e)) for c, e in fs.items()}
 

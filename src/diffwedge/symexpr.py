@@ -437,11 +437,13 @@ def _cos(a, _):
 
 _OPS = {Neg: _neg, Add: _add, Mul: _mul, Div: _div, Pow: _pow, Exp: _exp,
         Sin: _sin, Cos: _cos}
+_EXACT = (int, bool, Fraction)      # the types of exact numbers
 
 
 def _value(x):
-    """The point ``x`` as a value: an int pair, or the float itself."""
-    return (x.numerator, x.denominator) if isinstance(x, (int, Fraction)) else x
+    """``x`` as a value: an int pair for an int or a Fraction (by type: an
+    isinstance test of the ABC is slow), else ``x`` itself."""
+    return (x.numerator, x.denominator) if type(x) in _EXACT else x
 
 
 def _walk(e, x, memo):
@@ -539,23 +541,39 @@ def _runs(roots, xs):
             raise type(exc)(f"{exc} at x={x}") from None
 
 
+TOL = 1e-10     # the tolerance of the package's checks, every tol's default
+
+
+def compare(u, v, tol):
+    """(residual, agree) of values u, v (Fractions, ints, floats or exact
+    pairs) by the rule of every check: exact values agree when equal, others
+    when |u - v| <= tol * max(1, |u|, |v|), never at a NaN or an infinity."""
+    u, v = _value(u), _value(v)
+    if type(u) is tuple is type(v):     # n / d is correctly rounded
+        n, d = _add(u, _neg(v, None))
+        return (abs(n / d) if n else 0.0), n == 0
+    u, v = _float(u), _float(v)
+    r = abs(u - v)
+    return r, r <= tol or r <= tol * max(1, abs(u), abs(v)) < math.inf
+
+
 def _first_worst(samples):
-    """(worst, at) over (residual, at) ``samples``: the first sample whose
-    residual exceeds every earlier one, or (0.0, None) while all are 0."""
-    worst, at = 0.0, None
-    for r, x in samples:
-        if r > worst:
+    """(worst, at, ok) of ((residual, agree), at) ``samples``: the first one
+    above all earlier ones, NaN above any, else (0.0, None); ok if all agree."""
+    worst, at, ok = 0.0, None, True
+    for (r, agree), x in samples:
+        if worst == worst and not r <= worst:
             worst, at = r, x
-    return worst, at
+        ok = ok and agree
+    return worst, at, ok
 
 
-def max_residuals(groups, points):
-    """Worst sampled residual of each (key, [(lhs, rhs), ...]) group.
+def max_residuals(groups, points, tol):
+    """Worst sampled (residual, x, ok) of each (key, [(lhs, rhs)]) group.
 
     A group's identities are sampled at ``points[key]`` (none when the key
-    is absent).  The residual at x is ``float(abs(lhs(x) - rhs(x)))``, and
-    each group's (worst, x) is taken over its pairs, then its points, by
-    the rule of ``_first_worst``.
+    is absent).  The sides at x are compared by ``compare``, and each group's
+    result is taken over its pairs, then its points, by ``_first_worst``.
 
     Every side of every group on one key is compiled into one tape, which
     runs once per point, so a subtree shared by any sides is computed once
@@ -566,21 +584,19 @@ def max_residuals(groups, points):
     sides = {}         # key -> every side of its groups, pair by pair
     for key, pairs in groups:
         sides.setdefault(key, []).extend(s for pair in pairs for s in pair)
-    residuals = {}     # key -> per point, the residual of each pair
+    compared = {}      # key -> per point, (residual, agree) of each pair
     for key, roots in sides.items():
         try:
-            # exactly float(abs(Fraction(lhs) - Fraction(rhs))): n / d is
-            # correctly rounded, and a float meets -rhs as it meets rhs
-            residuals[key] = [[abs(_float(_add(v[i], _neg(v[i + 1], None))))
-                               for i in range(0, len(v), 2)]
-                              for v in _runs(roots, points.get(key, ()))]
+            compared[key] = [[compare(v[i], v[i + 1], tol)
+                              for i in range(0, len(v), 2)]
+                             for v in _runs(roots, points.get(key, ()))]
         except ArithmeticError as exc:
             exc.key = key
             raise
     out = []
     start = dict.fromkeys(sides, 0)     # key -> its next group's first pair
     for key, pairs in groups:
-        rows, xs, i = residuals[key], points.get(key, ()), start[key]
+        rows, xs, i = compared[key], points.get(key, ()), start[key]
         start[key] = i + len(pairs)
         out.append(_first_worst((row[j], x) for j in range(i, i + len(pairs))
                                 for x, row in zip(xs, rows)))
@@ -601,10 +617,15 @@ class Verdict:
         return self.ok
 
     @classmethod
+    def fold(cls, samples):
+        """Verdict on ((residual, agree), witness) samples: ``_first_worst``."""
+        worst, at, ok = _first_worst(samples)
+        return cls(ok, worst, "" if at is None else at)
+
+    @classmethod
     def within(cls, tol, samples):
-        """Passes when no (residual, witness) sample exceeds ``tol``."""
-        worst, at = _first_worst(samples)
-        return cls(worst <= tol, worst, "" if at is None else at)
+        """``fold`` of (u, v, witness) samples compared by ``compare``."""
+        return cls.fold((compare(u, v, tol), at) for u, v, at in samples)
 
 
 def differentiate(e):

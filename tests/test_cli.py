@@ -138,6 +138,16 @@ DIRAC_AT_POLE = {"charts": [{"id": "a", "h": "1/(x-1/7)^2"},
     ("check", {"charts": [{"id": "a", "h": "exp(x)"}, {"id": "b", "h": "exp(x)"}],
                "gluings": [{"points": [["a", "700"], ["b", "700"]]}]},
      "/charts/0/h"),
+    # h is a NaN (inf - inf) from x = 3/5 on, on the checkers' grid
+    ("check", {"charts": [{"id": "a", "h": "exp(x)*10^308-exp(x)*10^308+1"},
+                          {"id": "b", "h": "1"}],
+               "gluings": [{"points": [["a", 0], ["b", 0]], "scale": 1}]},
+     "/charts/0/h: metric coefficient on chart 'a' is not positive at 3/5"),
+    # h(2) = 7.4e307 is a float, but the exact rank-1 product 3 h(2) is not
+    ("check", {"charts": [{"id": "a", "h": "10^307*exp(x)"},
+                          {"id": "b", "h": "10^307*exp(x)"}],
+               "gluings": [{"points": [["a", 0], ["b", 0]], "scale": 1}]},
+     "/charts/0/h: integer division result too large for a float at x=2"),
     # a JSON value of the wrong type where the config needs another
     ("check", {"charts": [5]}, "/charts/0: must be an object"),
     ("check", {"charts": [{"id": ["a"]}]}, "/charts/0/id: must be a string"),
@@ -238,6 +248,7 @@ DIRAC_AT_POLE = {"charts": [{"id": "a", "h": "1/(x-1/7)^2"},
         "h-zero-divisor-on-checker-grid", "h-zero-on-checker-grid",
         "h-zero-divisor-at-splitting-point", "h-zero-divisor-at-dirac-point",
         "h-zero-divisor-at-dirac-point-in-report", "h-squared-overflows",
+        "h-nan-on-checker-grid", "clifford-product-overflows",
         "chart-not-object", "chart-id-list", "gluing-not-object",
         "fibre-not-object", "nonsmooth-row-not-list", "metric-row-not-list",
         "dirac-not-object", "h-list", "h-null", "scale-not-rational",
@@ -645,6 +656,40 @@ def test_metric_glue_gate(tmp_path, capsys, command, ha, hb, code):
     assert err == ""
     failed = json.loads(out)["failed"]
     assert failed == ([] if code == 0 else ["metric-glue-compatibility"])
+
+
+@pytest.mark.parametrize("c", ["1", "10^10", "10^60"])
+def test_verdicts_are_invariant_under_rescaling_h(tmp_path, capsys, c):
+    # float residuals grow with c; relative to the sides they stay < 1e-13
+    p = write_cfg(tmp_path, {"charts": [{"id": "a", "h": f"{c}*exp(x)"},
+                                        {"id": "b", "h": f"{c}*exp(x)"}],
+                             "gluings": [{"points": [["a", 0], ["b", 0]],
+                                          "scale": 1}]})
+    assert main(["check", p]) == 0
+    assert json.loads(capsys.readouterr().out)["failed"] == []
+
+
+def test_zero_tol_reaches_every_sampled_verdict(capsys):
+    assert main(["check", cfg_path("two_planes.json"), "--tol", "0"]) == 1
+    assert json.loads(capsys.readouterr().out)["failed"] == [
+        "leibniz", "metric-compatibility", "torsion-free", "koszul",
+        "clifford-connection", "unitarity"]
+
+
+def test_gate_and_glue_fibre_verdicts_agree_at_the_tolerance_edge(
+        tmp_path, capsys):
+    # exp(1) as a float against a rational 4e-13 above it: a 9-fold gap in
+    # the products of algebra-morphism is still within tol of their size
+    p = write_cfg(tmp_path, {
+        "charts": [{"id": "a", "h": "exp(x)"},
+                   {"id": "b", "h": "2718281828459445/1000000000000000"}],
+        "gluings": [{"points": [["a", 1], ["b", 0]], "scale": 1}]})
+    assert main(["check", p]) == 0
+    verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+    assert [v["pass"] for v in verdicts[:3]] == [True] * 3
+    assert [v["name"] for v in verdicts[:4]] == [
+        "metric-glue-compatibility", "action-equivariance",
+        "algebra-morphism", "glued-clifford-product"]
 
 
 def test_unitarity_is_relative_to_the_metric(tmp_path, capsys):

@@ -9,7 +9,7 @@ from diffwedge.dirac import (CliffordModule, DiracOperator, apply_dirac,
                              apply_dirac_chart,
                              check_action_compatibility,
                              check_algebra_morphism, check_clifford_connection,
-                             check_unitarity,
+                             check_clifford_product, check_unitarity,
                              clifford_connection, dirac, dirac_value_at,
                              dirac_values, exterior_module, glue_dirac,
                              single_chart_module, verify_splitting)
@@ -98,6 +98,32 @@ def test_action_compatibility_and_morphism():
     m2 = wedge_module("x^2+4", "1", scale=2)
     v = check_algebra_morphism(m2, ("a", 0))
     assert v.ok, v.witness
+
+
+def test_glue_fibre_checks_compare_within_tol():
+    # the float exp(1) against a rational 4e-13 above it: within tol
+    m = exterior_module(leg("a", "exp(x)"),
+                        leg("b", "2718281828459445/1000000000000000"),
+                        [(("a", 1), ("b", 0))], 1)
+    assert check_action_compatibility(m) and check_algebra_morphism(m, ("a", 1))
+    # but not within 0; the witness prints rationals as p/q, floats as floats
+    assert not check_action_compatibility(m, 0)
+    v = check_algebra_morphism(m, ("a", 1), 0)
+    assert not v.ok
+    assert v.witness == ("products differ on (0, 1), (0, 1): "
+                         "(-543656365691889/200000000000000, 0) "
+                         "!= (-2.718281828459045, 0)")
+
+
+def test_clifford_product_against_the_rank_one_formula():
+    for h in ("x^2+1", "exp(x)", "(x^2+3)/(x+5)"):
+        v = check_clifford_product(wedge_module(h, h), "a", 0)
+        assert v == Verdict(True, 0.0, ""), h
+    # an exact product beyond the floats names its point and chart
+    m = wedge_module("10^307*exp(x)", "10^307*exp(x)")
+    with pytest.raises(OverflowError, match="at x=2$") as exc:
+        check_clifford_product(m, "b")
+    assert exc.value.key == "b"
 
 
 def test_clifford_connection_leibniz_pass_and_flat_fail():
@@ -273,7 +299,7 @@ def _splitting_per_point(d, s1_comps, s2_comps, points, tol):
         i = module.bundle.base.class_of(p)
         q = module.bundle.rep_point(i) if i is not None else p
         rhs = eval_vector(legs[q[0]], q[1])
-        samples += [(abs(float(l - r)), f"chart {p[0]}, x = {p[1]}")
+        samples += [(l, r, f"chart {p[0]}, x = {p[1]}")
                     for l, r in zip(lhs, rhs)]
     return Verdict.within(tol, samples)
 

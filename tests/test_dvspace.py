@@ -1,3 +1,4 @@
+import math
 import os
 from fractions import Fraction
 
@@ -473,7 +474,8 @@ def test_congruent_diagonal_signs_against_sympy():
 
 def test_map_compatibility_exact_on_rationals_tolerant_on_floats():
     m = standard_model(1)
-    # a float metric value within 1e-12 of its rational counterpart
+    # a float metric value within TOL, relative to its size, of its rational
+    # counterpart; 1e-9 is not
     assert check_map_compatibility(m, [[5 / 3]], m, [[Fraction(5, 3)]],
                                    [[1]]).ok
     assert not check_map_compatibility(m, [[5 / 3 + 1e-9]], m,
@@ -482,6 +484,12 @@ def test_map_compatibility_exact_on_rationals_tolerant_on_floats():
     near = Fraction(5, 3) + Fraction(1, 10**20)
     assert not check_map_compatibility(m, [[near]], m, [[Fraction(5, 3)]],
                                        [[1]]).ok
+    # floats are compared relative to their size, and must be finite
+    assert check_map_compatibility(m, [[1e20]], m, [[1e20 + 2**20]], [[1]])
+    with pytest.raises(OverflowError):
+        check_map_compatibility(m, [[math.inf]], m, [[1]], [[1]])
+    with pytest.raises(ValueError):
+        check_map_compatibility(m, [[1]], m, [[math.nan]], [[1]])
 
 
 def test_dual_metric_of_all_nonsmooth_fibre_is_empty():

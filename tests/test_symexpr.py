@@ -10,9 +10,10 @@ from hypothesis import example, given, settings, strategies as st
 from diffwedge import symexpr
 from diffwedge.connection import _chartwise
 from diffwedge.symexpr import (Add, Const, Cos, Div, Exp, ExprSyntaxError,
-                               Mul, Neg, Pow, Sin, ZERO, ONE, Verdict, X,
-                               differentiate, evaluate, evaluate_all,
-                               max_residuals, parse_expr, simplify, to_str)
+                               Mul, Neg, Pow, Sin, TOL, ZERO, ONE, Verdict,
+                               X, compare, differentiate, evaluate,
+                               evaluate_all, max_residuals, parse_expr,
+                               simplify, to_str)
 
 
 def test_parse_and_exact_eval():
@@ -138,39 +139,102 @@ def test_a_float_operand_is_refused():
 def test_max_residual_keeps_the_first_worst_point():
     pts = [Fraction(-2), Fraction(1), Fraction(2)]
     # residuals 4, 1, 4: the later tie does not move the witness
-    assert max_residuals([(None, [(X * X, ZERO)])], {None: pts})[0] \
-        == (4.0, Fraction(-2))
+    assert max_residuals([(None, [(X * X, ZERO)])], {None: pts}, TOL)[0] \
+        == (4.0, Fraction(-2), False)
     # nor does an equal residual in a later pair
     pairs = [(X * X, ZERO), (Const(4), ZERO), (X, Const(-2))]
-    assert max_residuals([(None, pairs)], {None: pts})[0] \
-        == (4.0, Fraction(-2))
+    assert max_residuals([(None, pairs)], {None: pts}, TOL)[0] \
+        == (4.0, Fraction(-2), False)
     # residuals 4, 2, 12: a strictly larger later one does move it
-    worst, at = max_residuals([(None, [(ZERO, X * X * X + X * X)])],
-                              {None: pts})[0]
-    assert (worst, at) == (12.0, Fraction(2)) and isinstance(worst, float)
-    # Verdict.within folds (residual, witness) samples by the same rule
-    ties = [(4.0, "x = -2"), (1.0, "x = 1"), (4.0, "x = 2")]
+    worst, at, ok = max_residuals([(None, [(ZERO, X * X * X + X * X)])],
+                                  {None: pts}, TOL)[0]
+    assert (worst, at, ok) == (12.0, Fraction(2), False)
+    assert isinstance(worst, float)
+    # Verdict.within folds (u, v, witness) samples by the same rule
+    ties = [(4.0, 0.0, "x = -2"), (1.0, 0.0, "x = 1"), (0.0, 4.0, "x = 2")]
     assert Verdict.within(1e-10, ties) == Verdict(False, 4.0, "x = -2")
-    assert Verdict.within(1e-10, ties + [(4.0, "next pair")]).witness \
+    assert Verdict.within(1e-10, ties + [(4, 0, "next pair")]).witness \
         == "x = -2"
-    assert Verdict.within(1e-10, [(4.0, "x = -2"), (2.0, "x = 1"),
-                                  (12.0, "x = 2")]).witness == "x = 2"
-    assert Verdict.within(0, [(0.0, "x = 1"), (0.0, "x = 2")]) \
+    assert Verdict.within(1e-10, [(4.0, 0.0, "x = -2"), (2.0, 0.0, "x = 1"),
+                                  (12.0, 0.0, "x = 2")]).witness == "x = 2"
+    assert Verdict.within(0, [(1.0, 1.0, "x = 1"), (2, 2, "x = 2")]) \
         == Verdict(True, 0.0, "")
     assert Verdict.within(0, []) == Verdict(True, 0.0, "")
-    # ok exactly at residual == tol
-    assert Verdict.within(4.0, ties).ok
-    assert not Verdict.within(math.nextafter(4.0, 0), ties)
+    # ok exactly at residual == tol * max(1, |u|, |v|), here tol * 4
+    assert Verdict.within(1.0, ties).ok
+    assert not Verdict.within(math.nextafter(1.0, 0), ties)
+    # the worst residual agrees relative to its sides; a smaller one that
+    # does not fails the verdict, which still reports the worst
+    v = Verdict.within(0.5, [(300.0, 200.0, "x = 0"), (2.0, 0.0, "x = 1")])
+    assert v == Verdict(False, 100.0, "x = 0")
+
+
+def test_a_nan_residual_fails_and_is_the_worst():
+    nan = math.nan
+    # a NaN never agrees, and it is worse than any residual before or after
+    for samples in ([(nan, 0.0, "x = 0")],
+                    [(1.0, 0.0, "x = 1"), (nan, 0.0, "x = 0"),
+                     (math.inf, 0.0, "x = 2"), (nan, nan, "x = 3")]):
+        v = Verdict.within(1e-10, samples)
+        assert v.ok is False and math.isnan(v.residual)
+        assert v.witness == "x = 0"
+    v = Verdict.fold([((0.0, True), "x = 1"), ((nan, True), "x = 0")])
+    assert math.isnan(v.residual) and v.witness == "x = 0" and v.ok
+    # the sampler: x * x overflows to inf at x = 1e200, and inf - inf
+    big = Mul(X, X)
+    worst, at, ok = max_residuals([(None, [(big, big), (X, ONE)])],
+                                  {None: [Fraction(2), 1e200]}, 1.0)[0]
+    assert math.isnan(worst) and at == 1e200 and ok is False
+
+
+def test_the_comparison_rule():
+    big = Fraction(10 ** 400)
+    # exact values agree exactly when equal, whatever the tolerance
+    assert compare(Fraction(1, 3), (2, 6), 0) == (0.0, True)
+    assert compare(Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10**30),
+                   TOL) == (float(Fraction(1, 10**30)), False)
+    # a nonzero difference that underflows to a 0.0 residual still differs
+    assert compare(big, big + Fraction(1, 10**400), 1.0) == (0.0, False)
+    assert compare((7, -2), Fraction(-7, 2), 0) == (0.0, True)
+    # a float pair is relative to max(1, |u|, |v|)
+    assert compare(1e20, 1e20 + 2 ** 20, 1e-10) == (2.0 ** 20, True)
+    assert compare(1e20, 1e20 + 2 ** 40, 1e-10)[1] is False
+    assert compare(0.5, 0.5 + 2 ** -34, 2 ** -34) == (2 ** -34, True)
+    assert compare(0.5, 0.5 + 2 ** -33, 2 ** -34)[1] is False
+    # one float side makes the pair a float pair, compared with the float
+    # of the exact side
+    assert compare(Fraction(5, 3), 5 / 3, TOL) \
+        == (abs(5 / 3 - float(Fraction(5, 3))), True)
+    assert compare(Fraction(1), 1.0, 0) == (0.0, True)
+    # NaN and infinite values never agree
+    for u, v in ((math.nan, 1.0), (math.inf, math.inf), (math.inf, 1),
+                 (-math.inf, 0.0)):
+        assert compare(u, v, 1.0)[1] is False
+        assert compare(u, v, 0)[1] is False
+    # a Fraction beyond the floats raises as float(Fraction) does
+    with pytest.raises(OverflowError):
+        compare(big, 1.0, TOL)
+
+
+def test_an_exact_sampled_pair_agrees_only_when_equal():
+    # a gap of 1e-20, far below tol: exact sides differ, float sides agree
+    groups = [("a", [(X + Const(Fraction(1, 10**20)), X)])]
+    assert _chartwise(groups, {"a": [Fraction(0), Fraction(1)]}, TOL) \
+        == Verdict(False, 1e-20, "chart a, x = 0")
+    assert _chartwise(groups, {"a": [0.0, 1.0]}, TOL) \
+        == Verdict(True, 1e-20, "chart a, x = 0.0")
 
 
 def test_max_residual_is_zero_and_none_on_an_identity():
     e = parse_expr("(x+1)^2")
     same = parse_expr("x^2+2*x+1")
     pts = [Fraction(i, 3) for i in range(-5, 6)]
-    assert max_residuals([(None, [(e, same)])], {None: pts})[0] == (0.0, None)
-    assert max_residuals([(None, [(e, ZERO)])], {None: []})[0] == (0.0, None)
-    assert max_residuals([(None, [])], {None: [Fraction(1)]})[0] \
-        == (0.0, None)
+    assert max_residuals([(None, [(e, same)])], {None: pts}, 0)[0] \
+        == (0.0, None, True)
+    assert max_residuals([(None, [(e, ZERO)])], {None: []}, 0)[0] \
+        == (0.0, None, True)
+    assert max_residuals([(None, [])], {None: [Fraction(1)]}, 0)[0] \
+        == (0.0, None, True)
 
 
 def test_max_residual_mixes_exact_and_float_sides():
@@ -178,11 +242,14 @@ def test_max_residual_mixes_exact_and_float_sides():
     pairs = [(parse_expr("x/3"), ZERO),          # exact: 1/9 at x = 1/3
              (parse_expr("exp(x)"), ONE)]        # float: e^(1/3) - 1
     pts = {None: [Fraction(0), third]}
-    worst, at = max_residuals([(None, pairs)], pts)[0]
+    worst, at, ok = max_residuals([(None, pairs)], pts, 1.0)[0]
     assert worst == math.exp(third) - 1 and at == third
     assert isinstance(worst, float)
-    worst, at = max_residuals([(None, pairs[:1])], pts)[0]
-    assert worst == float(Fraction(1, 9)) and at == third
+    # the float pair agrees within 1.0, the exact pair does not
+    assert not ok
+    assert max_residuals([(None, pairs[1:])], pts, 1.0)[0][2]
+    worst, at, ok = max_residuals([(None, pairs[:1])], pts, 1.0)[0]
+    assert worst == float(Fraction(1, 9)) and at == third and not ok
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +606,7 @@ def test_caches_make_no_reference_cycles():
                 evaluate(t, x)
         # the tapes of evaluate_all and max_residuals, with every cache set
         evaluate_all(trees, xs)
-        max_residuals([(None, list(zip(trees, trees[1:])))], {None: xs})
+        max_residuals([(None, list(zip(trees, trees[1:])))], {None: xs}, TOL)
         del e, t, trees
         assert gc.collect() == 0
     finally:
@@ -565,15 +632,26 @@ def test_first_evaluation_walks_a_shared_node_once():
 # ---------------------------------------------------------------------------
 # the joint sampler; the scalar loop it replaced is the reference
 
-def _scalar_max_residual(pairs, points):
-    """(worst, at) by one evaluate per side and point, pair by pair."""
-    worst, at = 0.0, None
+def _agrees(u, v, tol):
+    """The comparison rule as stated, on the values of ``evaluate``."""
+    if isinstance(u, Fraction) and isinstance(v, Fraction):
+        return u == v
+    r = float(abs(u - v))
+    return math.isfinite(r) and r <= tol * max(1, abs(float(u)), abs(float(v)))
+
+
+def _scalar_max_residual(pairs, points, tol):
+    """(worst, at, ok) by one evaluate per side and point, pair by pair; a
+    NaN residual is worse than any other."""
+    worst, at, ok = 0.0, None, True
     for lhs, rhs in pairs:
         for x in points:
-            r = float(abs(evaluate(lhs, x) - evaluate(rhs, x)))
-            if r > worst:
+            u, v = evaluate(lhs, x), evaluate(rhs, x)
+            r = float(abs(u - v))
+            if r > worst or math.isnan(r) and not math.isnan(worst):
                 worst, at = r, x
-    return worst, at
+            ok = ok and _agrees(u, v, tol)
+    return worst, at, ok
 
 
 def _first_failure(groups, points):
@@ -598,9 +676,9 @@ def _first_failure(groups, points):
     return None
 
 
-def _bits(worst_at):
-    worst, at = worst_at
-    return worst.hex(), type(at), at
+def _bits(worst_at_ok):
+    worst, at, ok = worst_at_ok
+    return worst.hex(), type(at), at, ok
 
 
 # polynomials of degree <= 3, whose exact residuals are rarely dyadic
@@ -655,37 +733,37 @@ def test_joint_sampler_matches_the_scalar_loop(case):
     failure = _first_failure(groups, pts)
     if failure is not None:
         with pytest.raises((ArithmeticError, ValueError)) as exc:
-            max_residuals(groups, pts)
+            max_residuals(groups, pts, tol)
         assert (exc.type, str(exc.value)) == failure
         with pytest.raises(exc.type):
             _chartwise(groups, pts, tol)
         return
-    want = [_scalar_max_residual(pairs, pts.get(key, []))
+    want = [_scalar_max_residual(pairs, pts.get(key, []), tol)
             for key, pairs in groups]
-    got = max_residuals(groups, pts)
+    got = max_residuals(groups, pts, tol)
     assert list(map(_bits, got)) == list(map(_bits, want))
-    assert _chartwise(groups, pts, tol) == Verdict.within(
-        tol, ((r, f"chart {key}, x = {x}")
-              for (key, _), (r, x) in zip(groups, want)))
+    assert _chartwise(groups, pts, tol) == Verdict.fold(
+        ((r, ok), f"chart {key}, x = {x}")
+        for (key, _), (r, x, ok) in zip(groups, want))
     for (key, pairs), w in zip(groups, want):     # each group on its own
-        assert _bits(max_residuals([(key, pairs)], pts)[0]) == _bits(w)
+        assert _bits(max_residuals([(key, pairs)], pts, tol)[0]) == _bits(w)
 
 
 def test_joint_sampler_keeps_group_order_and_exact_residuals():
     # chart b's group comes first and ties chart a's later one
     groups = [("a", [(X, X)]), ("b", [(X * X, ZERO)]), ("a", [(X * X, ZERO)])]
     pts = {"a": [Fraction(-2), Fraction(2)], "b": [Fraction(2), Fraction(-2)]}
-    assert max_residuals(groups, pts) == [(0.0, None), (4.0, Fraction(2)),
-                                          (4.0, Fraction(-2))]
+    assert max_residuals(groups, pts, 1) == [
+        (0.0, None, True), (4.0, Fraction(2), False), (4.0, Fraction(-2), False)]
     assert _chartwise(groups, pts, 1) == Verdict(False, 4.0, "chart b, x = 2")
     # the exact difference, not float(1) - float(1/3)
     third = Const(Fraction(1, 3))
     assert float(1) - float(Fraction(1, 3)) != float(Fraction(2, 3))
-    assert max_residuals([(None, [(ONE, third)])], {None: [0]})[0] \
-        == (float(Fraction(2, 3)), 0)
+    assert max_residuals([(None, [(ONE, third)])], {None: [0]}, 1)[0] \
+        == (float(Fraction(2, 3)), 0, False)
     # registers start afresh at each point
-    assert max_residuals([("a", [(X * X + 1, ZERO)])], {"a": [1, 3, 2]}) \
-        == [(10.0, 3)]
+    assert max_residuals([("a", [(X * X + 1, ZERO)])], {"a": [1, 3, 2]}, 1) \
+        == [(10.0, 3, False)]
 
 
 def test_joint_sampler_names_the_first_failing_point():
@@ -693,14 +771,15 @@ def test_joint_sampler_names_the_first_failing_point():
     groups = [("a", [(Div(ONE, X - 1), ZERO)]), ("a", [(Pow(X, -2), ONE)])]
     pts = {"a": [Fraction(1, 2), Fraction(0), Fraction(1)]}
     with pytest.raises(ZeroDivisionError, match="^zero raised to -2 at x=0$"):
-        max_residuals(groups, pts)
+        max_residuals(groups, pts, TOL)
     with pytest.raises(ZeroDivisionError, match="at x=1$"):
-        max_residuals(groups[:1], pts)
-    assert max_residuals(groups, {"b": pts["a"]}) == [(0.0, None)] * 2
+        max_residuals(groups[:1], pts, TOL)
+    assert max_residuals(groups, {"b": pts["a"]}, TOL) \
+        == [(0.0, None, True)] * 2
     # a float overflow names its point too, and the error its group's key
     big = [("a", [(X, X)]), ("b", [(Pow(Exp(X), 2), ZERO)])]
     with pytest.raises(OverflowError, match="at x=700$") as exc:
-        max_residuals(big, {"a": [700], "b": [1, 700]})
+        max_residuals(big, {"a": [700], "b": [1, 700]}, TOL)
     assert exc.value.key == "b"
     with pytest.raises(OverflowError, match="at x=700$"):
         evaluate(big[1][1][0][0], 700)

@@ -9,7 +9,7 @@ from diffwedge.connection import (check_leibniz, check_metric_compatibility,
                                   koszul_check, levi_civita)
 from diffwedge.dirac import (check_action_compatibility,
                              check_algebra_morphism, check_clifford_connection,
-                             check_unitarity, clifford_connection, dirac,
+                             check_clifford_product, check_unitarity, clifford_connection, dirac,
                              exterior_module, verify_splitting)
 from diffwedge.dvspace import (DvsModel, check_dual_compatibility,
                                check_map_compatibility, is_pseudo_metric,
@@ -55,6 +55,7 @@ CHECKERS = {
     "check_algebra_morphism": lambda: check_algebra_morphism(module(),
                                                              ("a", 0)),
     "check_unitarity": lambda: check_unitarity(module(), PTS),
+    "check_clifford_product": lambda: check_clifford_product(module(), "a"),
     "check_clifford_connection": clifford_battery,
     "verify_splitting": lambda: verify_splitting(
         dirac(module()), {"a": ["1", "x"]}, {"b": ["1", "x"]},
