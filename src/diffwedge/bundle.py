@@ -11,11 +11,12 @@ defining identities can be checked on bases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import symexpr
-from .symexpr import TOL, Const, Expr, ZERO, ONE, compare, simplify
+from .symexpr import TOL, Add, Const, Expr, Mul, Neg, Pow, ZERO, ONE, \
+    compare, simplify
 from .dvspace import DvsModel, check_map_compatibility, dual_metric, standard_model
 from .linalg import frac_matrix, identity, inverse, mat_vec, transpose
 from .wedge import Gluing, WedgeComplex, _as_point, glue_complexes, \
@@ -80,23 +81,43 @@ def _det(m, rows, cols, memo):
     return memo[key]
 
 
+def _degree(e, memo):
+    """A bound on the degree of ``e`` as a polynomial in x, None when ``e``
+    holds a Div, a negative Pow, Exp, Sin or Cos; ``memo`` maps id(node) to
+    its bound, so a shared subtree is read once."""
+    kids = e.children
+    if not kids:
+        return 0 if type(e) is Const else 1
+    if id(e) not in memo:
+        t = type(e)
+        ds = ([_degree(a, memo) for a in kids] if t in (Add, Neg, Mul, Pow)
+              else [None])
+        memo[id(e)] = (None if None in ds or t is Pow and e.exponent < 0
+                       else ds[0] * e.exponent if t is Pow
+                       else sum(ds) if t is Mul else max(ds))
+    return memo[id(e)]
+
+
 def emat_inverse(m):
     """Inverse by adjugate over expression entries.
 
     The n² entries are simplified once, and the determinant and all n²
     cofactors share one memo, so each minor is expanded once; the minor
     of an entry that simplifies to 0 is never expanded, since its term
-    would simplify away.  Raises ValueError when the determinant
-    simplifies to the constant 0.  A singular matrix whose determinant
-    does not fold to 0, such as one reading ``x*x - x*x``, is not
-    detected: its entries divide by a determinant that evaluates to 0.
+    would simplify away.  Raises ValueError when the determinant is a
+    polynomial of degree at most D, by ``_degree``, whose exact values at
+    0, 1, ..., D are all 0, as ``x*x - x*x`` is.  A determinant that is
+    not a polynomial is never refused, so a singular ``exp(x) - exp(x)``
+    is not detected: the entries divide by it.
     """
     n = len(m)
     m = [[simplify(e) for e in row] for row in m]
     idx = tuple(range(n))
     memo = {}
     det = _det(m, idx, idx, memo)
-    if type(det) is Const and det.value == 0:
+    d = _degree(det, {})
+    if d is not None and not any(symexpr.evaluate(det, k)
+                                 for k in range(d + 1)):
         raise ValueError("singular metric: its determinant is 0")
     adj = [[_det(m, idx[:j] + idx[j + 1:], idx[:i] + idx[i + 1:], memo)
             * Const(Fraction((-1) ** (i + j)))
@@ -111,6 +132,8 @@ class PseudoBundle:
     metrics: dict           # chart id -> Expr matrix
     gluing: Gluing | None = None
     glue_maps: tuple = ()   # per glue class: (rep point, {point: matrix})
+    # (matrix_op, v, w) of a bundle that _fibrewise combined from v and w
+    parts: tuple | None = field(default=None, compare=False, repr=False)
 
     def rep_point(self, class_index):
         return self.glue_maps[class_index][0]
@@ -276,7 +299,8 @@ def _fibrewise(v, w, model_op, matrix_op):
         maps = {p: matrix_op(v.glue_map(i, p), w.glue_map(i, p))
                 for p in v.base.glue_classes[i] if p != rep}
         glue.append((rep, maps))
-    return PseudoBundle(v.base, fibres, metrics, v.gluing, tuple(glue))
+    return PseudoBundle(v.base, fibres, metrics, v.gluing, tuple(glue),
+                        (matrix_op, v, w))
 
 
 def direct_sum(v, w):
@@ -287,19 +311,33 @@ def tensor_product(v, w):
     return _fibrewise(v, w, _tensor_model, emat_kron)
 
 
+def _dual_chart_metric(v, c):
+    """Inverse of the metric of ``v`` on chart ``c``, whose fibre is
+    standard: the dual metric of V ⊕ W is g_V⁻¹ ⊕ g_W⁻¹, and of V ⊗ W it
+    is g_V⁻¹ ⊗ g_W⁻¹, each entry simplified; any other metric is inverted
+    by ``emat_inverse``."""
+    if v.parts is None:
+        return emat_inverse(v.metrics[c])
+    op, a, b = v.parts
+    return [[simplify(e) for e in row]
+            for row in op(_dual_chart_metric(a, c), _dual_chart_metric(b, c))]
+
+
 def dual_bundle(v):
     """Fibrewise dual; the glued dual is glued in the opposite order.
 
-    For standard fibres the dual metric is the inverse matrix (symbolic
-    adjugate); for a marked non-smooth subspace the metric must be
-    constant and is dualized exactly on the annihilator basis.
+    For standard fibres the dual metric is the inverse matrix: the block
+    sum or Kronecker product of the factors' duals for a sum or tensor
+    product, else the symbolic adjugate; for a marked non-smooth subspace
+    the metric must be constant and is dualized exactly on the
+    annihilator basis.
     """
     fibres = {}
     metrics = {}
     for c, m in v.fibres.items():
         fibres[c] = standard_model(m.dim - m.k_dim)
         if m.k_dim == 0:
-            metrics[c] = emat_inverse(v.metrics[c])
+            metrics[c] = _dual_chart_metric(v, c)
         else:
             g = [[simplify(e) for e in row] for row in v.metrics[c]]
             if not all(isinstance(e, Const) for row in g for e in row):
@@ -346,7 +384,7 @@ def phi_sum(glued_of_sums, sum_of_glued, point):
 def phi_dual(glued, point):
     """Map from the dual of a glued bundle to the oppositely-glued duals.
 
-    Three cases: identity away from the glue locus on either leg; the
+    Two cases: identity away from the glue locus, on either leg; the
     transpose of the fibre glue map over a glue class (source fibre is
     the second leg's dual, target representative the first leg's dual).
     """

@@ -2,7 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+import sympy
+from hypothesis import example, given, settings, strategies as st
 
 from diffwedge import bundle, symexpr
 from diffwedge.bundle import (Section, direct_sum, dual_bundle, emat_block_sum,
@@ -11,9 +12,9 @@ from diffwedge.bundle import (Section, direct_sum, dual_bundle, emat_block_sum,
                               glue_sections, phi_dual, phi_sum,
                               split_section, tensor_product, trivial_bundle)
 from diffwedge.dvspace import DvsModel, standard_model
-from diffwedge.linalg import frac_matrix, identity, mat_mul, mat_vec, rref, \
-    transpose
-from diffwedge.wedge import line
+from diffwedge.linalg import frac_matrix, identity, inverse, mat_mul, \
+    mat_vec, rref, transpose
+from diffwedge.wedge import line, switch_map
 
 
 def two_planes(h2="x^2+1", scale=1):
@@ -159,7 +160,8 @@ def _inverse_by_laplace(m):
     """The O(n!) emat_inverse that the memoized expansion replaced: every
     determinant and cofactor expands its minors afresh, zero entries
     included.  Same term order and signs, so it must give the same tree
-    entry for entry; None when the determinant simplifies to 0."""
+    entry for entry; None when the determinant simplifies to 0, or is a
+    polynomial tree that sympy finds identically 0."""
     def minor(m, i, j):
         return [[m[r][c] for c in range(len(m)) if c != j]
                 for r in range(len(m)) if r != i]
@@ -177,12 +179,21 @@ def _inverse_by_laplace(m):
 
     n = len(m)
     d = det(m)
-    if symexpr.simplify(d) == symexpr.ZERO:
+    if symexpr.simplify(d) == symexpr.ZERO or _polynomial(d) and \
+            sympy.expand(sympy.sympify(symexpr.to_str(d))) == 0:
         return None
     adj = [[det(minor(m, j, i)) * symexpr.Const(Fraction((-1) ** (i + j)))
             for j in range(n)] for i in range(n)]
     return [[symexpr.simplify(adj[i][j] / d) for j in range(n)]
             for i in range(n)]
+
+
+def _polynomial(e):
+    """Whether the tree ``e`` holds no Div, Exp, Sin, Cos or negative Pow."""
+    ok = (type(e) in (symexpr.Const, symexpr.Var, symexpr.Neg, symexpr.Add,
+                      symexpr.Mul)
+          or type(e) is symexpr.Pow and e.exponent >= 0)
+    return ok and all(map(_polynomial, e.children))
 
 
 def _tridiagonal(n):
@@ -222,6 +233,8 @@ def _block_tridiagonal(*sizes):
 @example([["0", "0", "0"], ["x", "1", "2"], ["1", "x", "x^2+1"]])
 @example([["0*exp(x)", "x", "1"], ["x", "2", "0"], ["1", "0*exp(x)", "x"]])
 @example([["x-x", "x", "1"], ["x", "2", "0"], ["1", "x-x", "x"]])
+@example([["x", "x"], ["x", "x"]])
+@example([["exp(x)", "x", "x"], ["x", "1", "1"], ["1", "1", "1"]])
 def test_emat_inverse_matches_the_laplace_oracle(strings):
     want = _inverse_by_laplace(expr_matrix(strings))
     if want is None:
@@ -274,11 +287,17 @@ def test_emat_inverse_expands_each_minor_once(monkeypatch):
 
 def test_a_singular_metric_has_no_dual():
     base = line("a")
-    for metric in ([["1", "1"], ["1", "1"]], [["0"]]):
+    for metric in ([["1", "1"], ["1", "1"]], [["0"]], [["x", "x"], ["x", "x"]]):
         v = trivial_bundle(base, {"a": standard_model(len(metric))},
                            {"a": metric})
         with pytest.raises(ValueError, match="singular metric"):
             dual_bundle(v)
+    # a tensor product with a singular factor is singular, though its
+    # factors are inverted one by one
+    w = trivial_bundle(base, {"a": standard_model(2)},
+                       {"a": [["x^2+1", "0"], ["0", "2"]]})
+    with pytest.raises(ValueError, match="singular metric"):
+        dual_bundle(tensor_product(w, v))
 
 
 def test_dual_of_a_three_by_three_tensor_product():
@@ -295,9 +314,114 @@ def test_dual_of_a_three_by_three_tensor_product():
     assert d.fibres["a"].dim == 9
     x = Fraction(1, 3)
     g = eval_matrix(t.metrics["a"], x)
-    # a first evaluation computes each shared subtree object once: the 81
-    # entries are 10272 distinct nodes, 3.7M as trees
     assert mat_mul(eval_matrix(d.metrics["a"], x), g) == identity(9)
+    # the dual bundle inverts the two 3x3 factors; the 9x9 adjugate of the
+    # Kronecker product itself is still exact, and a first evaluation
+    # computes each shared subtree object once: its 81 entries are 10272
+    # distinct nodes, 3.7M as trees
+    inv = emat_inverse(t.metrics["a"])
+    assert mat_mul(eval_matrix(inv, x), g) == identity(9)
+    assert eval_matrix(inv, x) == eval_matrix(d.metrics["a"], x)
+
+
+_POINTS = [Fraction(1, 3), Fraction(-5, 7), Fraction(2)]
+
+
+@st.composite
+def _nested_bundles(draw, depth=2):
+    """Sums and tensor products, nested to ``depth``, of 1- to 3-dim
+    trivial bundles.  A metric has monic quadratic diagonal entries and
+    off-diagonal entries of degree at most 1, so its determinant has the
+    leading term x^(2n) and is never identically 0."""
+    if depth == 0 or draw(st.booleans()):
+        n = draw(st.integers(1, 3))
+        off = st.sampled_from(["0", "1", "-1", "1/2", "x", "2*x-1", "-x"])
+        m = [[None] * n for _ in range(n)]
+        for i in range(n):
+            m[i][i] = f"x^2{draw(st.sampled_from(['', '+x', '-x']))}" \
+                      f"+{draw(st.sampled_from(['0', '1', '2', '1/3']))}"
+            for j in range(i):
+                m[i][j] = m[j][i] = draw(off)
+        return trivial_bundle(line("a"), {"a": standard_model(n)}, {"a": m})
+    op = draw(st.sampled_from([direct_sum, tensor_product]))
+    return op(draw(_nested_bundles(depth - 1)),
+              draw(_nested_bundles(depth - 1)))
+
+
+@settings(deadline=None)
+@given(_nested_bundles())
+def test_dual_of_nested_sums_and_tensors_is_the_inverse(b):
+    d = dual_bundle(b)
+    for x in _POINTS:
+        g = eval_matrix(b.metrics["a"], x)
+        try:
+            want = inverse(g)
+        except ValueError:      # M(x) is singular, so a factor's is
+            with pytest.raises(ZeroDivisionError):
+                eval_matrix(d.metrics["a"], x)
+            continue
+        assert eval_matrix(d.metrics["a"], x) == want
+
+
+def test_dual_of_a_glued_direct_sum():
+    # a rotation glues the plane bundle, so its transpose differs from it
+    rot = [[0, -1], [1, 0]]
+    v = glue_bundles(
+        trivial_bundle(line("a"), {"a": standard_model(2)},
+                       {"a": [["x^2+1", "x"], ["x", "x^2+1"]]}),
+        trivial_bundle(line("b"), {"b": standard_model(2)},
+                       {"b": [["1", "0"], ["0", "1"]]}),
+        [(("a", 0), ("b", 0))], rot)
+    w = glue_bundles(
+        trivial_bundle(line("a"), {"a": standard_model(1)}, {"a": [["x+1"]]}),
+        trivial_bundle(line("b"), {"b": standard_model(1)},
+                       {"b": [["x^2+1"]]}),
+        [(("a", 0), ("b", 0))], [[-1]])
+    s = direct_sum(v, w)
+    d = dual_bundle(s)
+    assert d.gluing == switch_map(s.gluing)
+    assert d.base == switch_map(s.gluing).result
+    assert d.rep_point(0) == ("a", Fraction(0))
+    p = ("a", Fraction(0))
+    assert d.glue_map(0, ("b", Fraction(0))) == transpose(s.glue_map(0, p)) \
+        == frac_matrix([[0, 1, 0], [-1, 0, 0], [0, 0, -1]])
+    for cid, x in [("a", Fraction(1, 2)), ("b", Fraction(-3))]:
+        assert eval_matrix(d.metrics[cid], x) == \
+            inverse(eval_matrix(s.metrics[cid], x))
+
+
+def test_dual_of_a_tensor_inverts_only_its_factors(monkeypatch):
+    sizes = []
+    inv = bundle.emat_inverse
+    monkeypatch.setattr(bundle, "emat_inverse",
+                        lambda m: sizes.append(len(m)) or inv(m))
+    base = line("a")
+    v = trivial_bundle(base, {"a": standard_model(3)},
+                       {"a": _tridiagonal(3)})
+    w = trivial_bundle(base, {"a": standard_model(2)},
+                       {"a": _tridiagonal(2)})
+    t = tensor_product(v, w)
+    d = dual_bundle(t)
+    assert sizes == [3, 2]
+    x = Fraction(1, 3)
+    assert mat_mul(eval_matrix(d.metrics["a"], x),
+                   eval_matrix(t.metrics["a"], x)) == identity(6)
+
+
+def test_dual_of_a_tensor_with_a_non_standard_factor(monkeypatch):
+    monkeypatch.setattr(bundle, "emat_inverse", None)   # never reached
+    base = line("a")
+    k = trivial_bundle(base, {"a": DvsModel(2, ((0, 1),))},
+                       {"a": [["2", "0"], ["0", "0"]]})
+    w = trivial_bundle(base, {"a": standard_model(1)}, {"a": [["3"]]})
+    d = dual_bundle(tensor_product(k, w))
+    assert d.fibres["a"] == standard_model(1)
+    assert eval_matrix(d.metrics["a"], 0) == [[Fraction(1, 6)]]
+    # a polynomial standard factor makes the product's metric
+    # non-constant, which the non-standard dual refuses
+    w = trivial_bundle(base, {"a": standard_model(1)}, {"a": [["x^2+1"]]})
+    with pytest.raises(ValueError, match="constant rational metric"):
+        dual_bundle(tensor_product(k, w))
 
 
 def test_induced_metric_two_case_and_rank():
