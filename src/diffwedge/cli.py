@@ -16,6 +16,7 @@ import random
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
+from types import SimpleNamespace
 
 from . import symexpr
 from .symexpr import Const, Div, Expr, ExprSyntaxError, Mul, Pow, Verdict
@@ -420,99 +421,95 @@ def _random_poly(rng):
     return e
 
 
-def _compatible_sections(module, cfg, rng):
-    """Random module section pair matching through the glue maps."""
-    g = cfg["gluings"][0]
-    (c1, x1), (c2, x2) = g["from"], g["to"]
-    a = g["scale"]
-    u1, w1 = _random_poly(rng), _random_poly(rng)
-    u2, w2 = _random_poly(rng), _random_poly(rng)
-    # shift the second leg's constants so values pair at the glue point
-    du = symexpr.evaluate(u1, x1) - symexpr.evaluate(u2, x2)
-    dw = a * symexpr.evaluate(w1, x1) - symexpr.evaluate(w2, x2)
-    u2 = symexpr.simplify(u2 + Const(du))
-    w2 = symexpr.simplify(w2 + Const(dw))
-    return {c1: [u1, w1]}, {c2: [u2, w2]}
+def _field(c):
+    """A random polynomial on each chart, in chart order."""
+    return {cid: _random_poly(c.rng) for cid in c.pts}
+
+
+def _section(c, rank):
+    """``rank`` random polynomials on each chart, in chart order."""
+    return {cid: [_random_poly(c.rng) for _ in range(rank)] for cid in c.pts}
+
+
+def _splitting(c):
+    """``verify_splitting`` on five random section pairs that match through
+    the glue map; the first failing verdict, else the last."""
+    d = dirac(c.module)
+    (c1, x1), (c2, x2) = c.glue["from"], c.glue["to"]
+    for _ in range(5):
+        u1, w1, u2, w2 = (_random_poly(c.rng) for _ in range(4))
+        # shift the second leg's constants so values pair at the glue point
+        du = symexpr.evaluate(u1, x1) - symexpr.evaluate(u2, x2)
+        dw = c.glue["scale"] * symexpr.evaluate(w1, x1) \
+            - symexpr.evaluate(w2, x2)
+        v = verify_splitting(d, {c1: [u1, w1]},
+                             {c2: [symexpr.simplify(u2 + Const(du)),
+                                   symexpr.simplify(w2 + Const(dw))]}, c.tol)
+        if not v:
+            break
+    return v
+
+
+# The glued checks after the metric-glue gate, as (name, report fields,
+# check(ctx) -> Verdict), in report order, which is also the order in which
+# they draw from the suite's one rng.  Fields given as a dict are keyed by
+# whether the check passed.
+_GLUED_CHECKS = (
+    ("action-equivariance", ("witness",),
+     lambda c: check_action_compatibility(c.module, c.tol)),
+    ("algebra-morphism", ("witness",),
+     lambda c: check_algebra_morphism(c.module, c.glue["from"], c.tol)),
+    ("glued-clifford-product", ("residual",),
+     lambda c: check_clifford_product(c.module, c.glue["from"][0], c.tol)),
+    ("one-form-fibre-dimensions", (), lambda c: Verdict(all(
+        c.lam.fibre_dim(cls[0]) == len(cls)
+        for cls in c.lam.base.glue_classes))),
+    ("dual-metric-coincidence", ("witness",),
+     lambda c: dual_metric_identity_check(c.lam)),
+    ("leibniz", ("residual",), lambda c: check_leibniz(
+        c.lc, [(_field(c), _section(c, 1)) for _ in range(5)], c.pts, c.tol)),
+    ("metric-compatibility", ("residual", "witness"),
+     lambda c: check_metric_compatibility(
+         c.lc, [(_section(c, 1), _section(c, 1)) for _ in range(3)], c.pts,
+         c.tol)),
+    ("torsion-free", (), lambda c: is_symmetric_connection(
+        dual_connection(c.lc), [_field(c) for _ in range(3)], c.pts, c.tol)),
+    ("koszul", ("residual",), lambda c: koszul_check(
+        c.lam, [tuple(_field(c) for _ in range(3)) for _ in range(4)], c.pts,
+        c.tol)),
+    ("clifford-connection", ("residual",), lambda c: check_clifford_connection(
+        c.module, clifford_connection(c.module), c.lc,
+        [(_field(c), _field(c), _section(c, 2)) for _ in range(3)], c.pts,
+        c.tol)),
+    ("unitarity", ("residual",),
+     lambda c: check_unitarity(c.module, c.pts, c.tol)),
+    ("dirac-splitting", {True: (), False: ("residual",)}, _splitting),
+)
 
 
 def _glued_suite(cfg, seed, tol):
-    verdicts = []
-
-    def add(name, v, *fields):
-        verdicts.append(_verdict(name, v, *fields))
-
-    rng = random.Random(seed)
-    pts = _points_per_chart(cfg)
-    g = cfg["gluings"][0]
-    c1, c2 = g["from"][0], g["to"][0]
-    h = {c["id"]: c["h"] for c in cfg["charts"]}
-    eval_points = [(c1, Fraction(i, 3)) for i in range(-6, 7) if i != 0]
-    eval_points += [(c2, Fraction(i, 3)) for i in range(1, 7)]
-    eval_points.append(g["from"])
-
     gate, module = _build_module(cfg)
-    add("metric-glue-compatibility", gate, "witness")
+    verdicts = [_verdict("metric-glue-compatibility", gate, "witness")]
     if not gate:
         return verdicts, None
-
-    # every point where a checker below samples h
+    g = cfg["gluings"][0]
+    pts = _points_per_chart(cfg)
+    # h must be defined and positive where the checks sample it, and at the
+    # nonzero thirds of [-2, 2] on the first leg and of (0, 2] on the second
     _check_h_on(cfg, [(cid, x) for cid, xs in pts.items() for x in xs]
-                + eval_points)
-    add("action-equivariance", check_action_compatibility(module, tol),
-        "witness")
-    add("algebra-morphism", check_algebra_morphism(module, g["from"], tol),
-        "witness")
+                + [(g["from"][0], Fraction(i, 3)) for i in range(-6, 7) if i]
+                + [(g["to"][0], Fraction(i, 3)) for i in range(1, 7)])
     try:    # a sampled side, or h itself, may overflow a float
-        add("glued-clifford-product", check_clifford_product(module, c1, tol),
-            "residual")
-        lam = module.lam
-        branch_ok = all(lam.fibre_dim(cls[0]) == len(cls)
-                        for cls in lam.base.glue_classes)
-        add("one-form-fibre-dimensions", Verdict(branch_ok))
-        add("dual-metric-coincidence", dual_metric_identity_check(lam),
-            "witness")
-        lc = levi_civita(lam)
-        trials = []
-        for _ in range(5):
-            f = {cid: _random_poly(rng) for cid in h}
-            s = {cid: [_random_poly(rng)] for cid in h}
-            trials.append((f, s))
-        add("leibniz", check_leibniz(lc, trials, pts, tol), "residual")
-
-        pairs = [( {cid: [_random_poly(rng)] for cid in h},
-                   {cid: [_random_poly(rng)] for cid in h}) for _ in range(3)]
-        add("metric-compatibility", check_metric_compatibility(lc, pairs, pts, tol),
-            "residual", "witness")
-
-        fields = [{cid: _random_poly(rng) for cid in h} for _ in range(3)]
-        add("torsion-free",
-            is_symmetric_connection(dual_connection(lc), fields, pts, tol))
-
-        triples = [tuple({cid: _random_poly(rng) for cid in h} for _ in range(3))
-                   for _ in range(4)]
-        add("koszul", koszul_check(lam, triples, pts, tol), "residual")
-
-        conn_e = clifford_connection(module)
-        batteries = [({cid: _random_poly(rng) for cid in h},
-                      {cid: _random_poly(rng) for cid in h},
-                      {cid: [_random_poly(rng), _random_poly(rng)] for cid in h})
-                     for _ in range(3)]
-        add("clifford-connection",
-            check_clifford_connection(module, conn_e, lc, batteries, pts, tol),
-            "residual")
-        add("unitarity", check_unitarity(module, pts, tol), "residual")
+        ctx = SimpleNamespace(module=module, lam=module.lam,
+                              lc=levi_civita(module.lam), pts=pts, glue=g,
+                              tol=tol, rng=random.Random(seed))
+        for name, fields, check in _GLUED_CHECKS:
+            v = check(ctx)
+            if isinstance(fields, dict):
+                fields = fields[v.ok]
+            verdicts.append(_verdict(name, v, *fields))
     except ArithmeticError as exc:
         raise ConfigError(f"/charts/{_chart_index(cfg, exc.key)}/h: {exc}")
-
-    d = dirac(module)
-    for _ in range(5):
-        s1, s2 = _compatible_sections(module, cfg, rng)
-        v = verify_splitting(d, s1, s2, eval_points, tol)
-        if not v:
-            add("dirac-splitting", v, "residual")
-            break
-    else:
-        add("dirac-splitting", v)
     return verdicts, module
 
 

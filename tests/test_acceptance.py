@@ -300,10 +300,6 @@ def test_criterion_09_dirac_flagship():
     d1 = dirac(m1)
     d2 = dirac(m2)
     d = glue_dirac(d1, d2, module)
-    points = [("a", Fraction(i, 3)) for i in range(-6, 8) if i != 0]
-    points += [("b", Fraction(i, 3)) for i in range(1, 7)]
-    points.append(("a", Fraction(0)))
-    assert len(points) == 20 and ("a", Fraction(0)) in points
     rng = random.Random(2)
     for _ in range(5):
         u1, w1, u2, w2 = (rnd_poly(rng) for _ in range(4))
@@ -312,7 +308,7 @@ def test_criterion_09_dirac_flagship():
         s1 = {"a": [u1, w1]}
         s2 = {"b": [u2 + parse_expr(str(Fraction(du))),
                     w2 + parse_expr(str(Fraction(dw)))]}
-        v = verify_splitting(d, s1, s2, points, 1e-10)
+        v = verify_splitting(d, s1, s2, 1e-10)
         assert v.ok, v.residual
     lam = module.lam
     lc = levi_civita(lam)

@@ -15,7 +15,7 @@ from diffwedge import cli, symexpr
 from diffwedge.bundle import eval_vector
 from diffwedge.cli import ConfigError, load_config, main, render_report, run
 from diffwedge.clifford import CliffordAlgebra, blade_mul
-from diffwedge.symexpr import ExprSyntaxError
+from diffwedge.symexpr import ExprSyntaxError, Verdict
 
 HERE = os.path.dirname(__file__)
 CONFIGS = os.path.join(HERE, os.pardir, "configs")
@@ -542,6 +542,80 @@ def test_exterior_module_is_built_once(monkeypatch, command):
     report, code = run(command, load_config(cfg_path("wedge_dirac.json")))
     assert code == 0 and report["values"]["dirac"]
     assert calls == Counter(lambda1=2, exterior_module=1)
+
+
+def test_check_builds_one_dirac_chart_per_section_pair(monkeypatch):
+    # the splitting check values the glued side at the glue point and the
+    # representative leg's D s there: one chart build for each of its five
+    # section pairs
+    from diffwedge import dirac
+    built = []
+    apply = dirac.apply_dirac_chart
+    monkeypatch.setattr(dirac, "apply_dirac_chart", lambda d, comps, cid:
+                        built.append(cid) or apply(d, comps, cid))
+    report, code = run("check", load_config(cfg_path("two_planes.json")))
+    assert code == 0
+    assert built == ["c2"] * 5
+
+
+# the verdicts of `check` on two_planes.json and the record fields of each
+CHECK_VERDICTS = [
+    ("metric-glue-compatibility", ["witness"]),
+    ("action-equivariance", ["witness"]),
+    ("algebra-morphism", ["witness"]),
+    ("glued-clifford-product", ["residual"]),
+    ("one-form-fibre-dimensions", []),
+    ("dual-metric-coincidence", ["witness"]),
+    ("leibniz", ["residual"]),
+    ("metric-compatibility", ["residual", "witness"]),
+    ("torsion-free", []),
+    ("koszul", ["residual"]),
+    ("clifford-connection", ["residual"]),
+    ("unitarity", ["residual"]),
+    ("dirac-splitting", []),
+    ("pseudo-metric", ["rank", "reason"]),
+    ("dual-metric-defining-identity", []),
+]
+
+
+@pytest.mark.parametrize("checker, name", [
+    ("check_action_compatibility", "action-equivariance"),
+    ("dual_metric_identity_check", "dual-metric-coincidence"),
+    ("check_leibniz", "leibniz"),
+    ("check_unitarity", "unitarity"),
+    ("verify_splitting", "dirac-splitting"),
+])
+def test_a_planted_failure_fails_only_its_verdict(monkeypatch, checker, name):
+    from diffwedge import cli
+    monkeypatch.setattr(cli, checker,
+                        lambda *a: Verdict(False, 0.5, "planted"))
+    report, code = run("check", load_config(cfg_path("two_planes.json")))
+    assert code == 1 and report["failed"] == [name]
+    got = [(v["name"], sorted(set(v) - {"name", "pass"}))
+           for v in report["verdicts"]]
+    # dirac-splitting writes its residual only when it fails
+    want = [(n, ["residual"] if n == name == "dirac-splitting" else f)
+            for n, f in CHECK_VERDICTS]
+    assert got == want
+    failed = next(v for v in report["verdicts"] if v["name"] == name)
+    assert failed["pass"] is False
+    assert failed.get("residual", 0.5) == 0.5
+    assert failed.get("witness", "planted") == "planted"
+
+
+def test_an_overflow_in_any_glued_check_names_its_chart(tmp_path, monkeypatch,
+                                                        capsys):
+    from diffwedge import cli
+
+    def overflow(*a):
+        exc = OverflowError("math range error at x=0")
+        exc.key = "c2"
+        raise exc
+
+    monkeypatch.setattr(cli, "check_action_compatibility", overflow)
+    assert main(["check", cfg_path("two_planes.json")]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: /charts/1/h: math range error at x=0\n"
 
 
 def test_dual_metric_validates_the_metric_once(monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 
 from diffwedge.bundle import eval_vector
 from diffwedge.connection import Connection, levi_civita
-from diffwedge.dirac import (CliffordModule, DiracOperator, apply_dirac,
+from diffwedge.dirac import (CliffordModule, DiracOperator,
                              apply_dirac_chart,
                              check_action_compatibility,
                              check_algebra_morphism, check_clifford_connection,
@@ -14,7 +14,8 @@ from diffwedge.dirac import (CliffordModule, DiracOperator, apply_dirac,
                              dirac_values, exterior_module, glue_dirac,
                              single_chart_module, verify_splitting)
 from diffwedge.forms import lambda1
-from diffwedge.symexpr import ZERO, Verdict, evaluate, parse_expr
+from diffwedge.symexpr import (ZERO, Verdict, evaluate, evaluate_all,
+                               parse_expr)
 from diffwedge.wedge import _as_point, line
 
 GRID = [Fraction(t, 5) for t in range(-10, 11)]
@@ -168,8 +169,8 @@ def test_dirac_squares_against_laplacian_flat_case():
     flat = Connection(m.bundle, {"a": [[ZERO, ZERO], [ZERO, ZERO]]})
     d = DiracOperator(m, flat)
     s = {"a": ["x^3", "cos(x)"]}
-    once = apply_dirac(d, s)
-    twice = apply_dirac_chart(d, {"a": once["a"]}, "a")
+    once = apply_dirac_chart(d, s, "a")
+    twice = apply_dirac_chart(d, {"a": once}, "a")
     import math
     for x in GRID:
         assert abs(evaluate(twice[0], x) + 6 * float(x)) < 1e-12
@@ -200,10 +201,9 @@ def test_splitting_random_battery():
     d2 = dirac_leg(m, "b")
     d = glue_dirac(d1, d2, m)
     rng = random.Random(13)
-    points = [("a", x) for x in GRID] + [("b", x) for x in GRID if x != 0]
     for _ in range(5):
         s1, s2 = compatible_sections(rng)
-        v = verify_splitting(d, s1, s2, points, 1e-10)
+        v = verify_splitting(d, s1, s2, 1e-10)
         assert v.ok, v.residual
 
 
@@ -287,11 +287,12 @@ def test_dirac_values_match_the_per_point_values(h1, h2, scale):
 
 
 def _splitting_per_point(d, s1_comps, s2_comps, points, tol):
-    """The reference: verify_splitting point by point, each side through
-    dirac_value_at and eval_vector."""
+    """The reference: the splitting check as it was before it compared only
+    at the glue, point by point, each side through dirac_value_at and
+    eval_vector."""
     module = d.module
     comps = {**s1_comps, **s2_comps}
-    legs = apply_dirac(d, comps)
+    legs = {cid: apply_dirac_chart(d, comps, cid) for cid in comps}
     samples = []
     for p in points:
         p = _as_point(p)
@@ -313,24 +314,50 @@ class _Doubled(CliffordModule):
         return super().action_matrix(cid, x, 2 * alpha)
 
 
+# the points `diffeo check` passed to the splitting check, for a gluing of
+# ("a", 0) to ("b", 0): thirds off the glue on both legs, then the glue
+# point of the first leg, which is not its class's representative
+OFF_GLUE = ([("a", Fraction(i, 3)) for i in range(-6, 7) if i]
+            + [("b", Fraction(i, 3)) for i in range(1, 7)])
+CLI_POINTS = OFF_GLUE + [("a", Fraction(0))]
+
+
+def _section_pairs(rng, scale):
+    """Two section pairs that match through the glue map, then four that
+    do not."""
+    pairs = [compatible_sections(rng, scale) for _ in range(2)]
+    return pairs + [({"a": s["a"]}, {"b": s["b"]})
+                    for s in _random_sections(rng, 4)]
+
+
+@pytest.mark.parametrize("h1, h2, scale", DIRAC_MODULES.values(),
+                         ids=DIRAC_MODULES.keys())
+def test_splitting_off_the_glue_compares_a_value_with_itself(h1, h2, scale):
+    # off the glue, dirac_values is the chart's D s through the same tape:
+    # the splitting check had nothing to compare there
+    d = dirac(wedge_module(h1, h2, scale))
+    for s1, s2 in _section_pairs(random.Random(h1), scale):
+        comps = {**s1, **s2}
+        got = dirac_values(d, [comps], OFF_GLUE)[0]
+        for cid in "ab":
+            ks = [k for k, p in enumerate(OFF_GLUE) if p[0] == cid]
+            want = evaluate_all(apply_dirac_chart(d, comps, cid),
+                                [OFF_GLUE[k][1] for k in ks])
+            assert [_value_bits(got[k]) for k in ks] \
+                == [_value_bits(v) for v in want]
+
+
 @pytest.mark.parametrize("h1, h2, scale", DIRAC_MODULES.values(),
                          ids=DIRAC_MODULES.keys())
 def test_verify_splitting_matches_the_per_point_loop(h1, h2, scale):
-    rng = random.Random(h1)
     d = dirac(wedge_module(h1, h2, scale))
     m = d.module
     doubled = DiracOperator(_Doubled(m.bundle, m.lam, m.scales), d.connection)
-    # both glue points, one repeated, between points of both charts: the
-    # glue point met first is the witness of a tie
-    points = ([("a", x) for x in GRID[::3]] + [("b", 0)]
-              + [("b", x) for x in GRID[1::4]] + [("a", 0), ("b", "1/3"), ("a", 0)])
-    pairs = [compatible_sections(rng, scale) for _ in range(2)]
-    pairs += [({"a": s["a"]}, {"b": s["b"]}) for s in _random_sections(rng, 4)]
     for op in (d, doubled):
-        for s1, s2 in pairs:
+        for s1, s2 in _section_pairs(random.Random(h1), scale):
             for tol in (0.0, 1e-10):
-                got = verify_splitting(op, s1, s2, points, tol)
-                want = _splitting_per_point(op, s1, s2, points, tol)
+                got = verify_splitting(op, s1, s2, tol)
+                want = _splitting_per_point(op, s1, s2, CLI_POINTS, tol)
                 assert (got.ok, got.residual.hex(), got.witness) \
                     == (want.ok, want.residual.hex(), want.witness)
                 assert got.ok == (op is d)

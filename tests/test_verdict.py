@@ -58,8 +58,7 @@ CHECKERS = {
     "check_clifford_product": lambda: check_clifford_product(module(), "a"),
     "check_clifford_connection": clifford_battery,
     "verify_splitting": lambda: verify_splitting(
-        dirac(module()), {"a": ["1", "x"]}, {"b": ["1", "x"]},
-        [("a", 1), ("a", 0), ("b", 1)]),
+        dirac(module()), {"a": ["1", "x"]}, {"b": ["1", "x"]}),
     "is_pseudo_metric": lambda: is_pseudo_metric(
         DvsModel(2, ((0, 1),)), [[1, 0], [0, 0]]),
     "check_map_compatibility": lambda: check_map_compatibility(
